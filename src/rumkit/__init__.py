@@ -77,7 +77,6 @@ from .flowgraph import (
 from .identify import (
     IdentificationResult,
     NullspaceCertificate,
-    append_one_preserves_rank,
     is_identified,
     max_identified_size,
     mobius_vector,

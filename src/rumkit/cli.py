@@ -538,13 +538,8 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else INPUT_ERROR
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except RumkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
+    except (RumkitError, OSError, ValueError) as exc:
+        # ValueError: sizes past what Python can format, e.g. bound -n 2000
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

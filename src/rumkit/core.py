@@ -120,25 +120,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def strict_supersets(mask: int, full: int) -> Iterator[int]:
-    """All B with mask < B <= full as bitmasks (strict supersets within full)."""
-    comp = full & ~mask
-    extra = comp
-    while extra:
-        yield mask | extra
-        extra = (extra - 1) & comp
-
-
 @dataclass(frozen=True)
 class Menu:
     """A subset of the universe, as a bitmask."""

@@ -28,6 +28,8 @@ from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
+    _contour_mass,
+    _superset_transform,
     mobius_inverse,
     validate_rcr,
 )
@@ -158,10 +160,12 @@ def recover_distribution(
     """Peel masses off the Mobius inverse along a decomposition witness.
 
     At each witness position the recovered mass is the witnessed pair's
-    Mobius value minus the already-assigned masses of earlier preferences in
-    that pair's contour class. The reconstruction is then compared to the
-    input entry by entry: all-zero residual with valid masses is exact;
-    residual within tolerance with masses in [0, 1] is approximate (for
+    Mobius value minus the mass already assigned to that pair by earlier
+    preferences in its contour class. The assigned masses are the
+    reconstructed Mobius inverse; for rule input the forward transform
+    carries them to a rule. The reconstruction is then compared to the input
+    entry by entry: all-zero residual with valid masses is exact; residual
+    within tolerance with masses in [0, 1] is approximate (for
     sampled data); anything else means the data was not generated by this
     model and the status is failed.
     """
@@ -170,8 +174,6 @@ def recover_distribution(
         raise RumkitError(f"tolerance must be >= 0, got {tol}")
     if isinstance(data, MobiusInverse):
         q = data
-        reference = data
-        compare_mobius = True
     elif isinstance(data, RandomChoiceRule):
         check = validate_rcr(data)
         if not check:
@@ -181,8 +183,6 @@ def recover_distribution(
                 f"{len(check.bad_menus)} menus with sum != 1"
             )
         q = mobius_inverse(data)
-        reference = data
-        compare_mobius = False
     else:
         raise RumkitError(f"cannot recover from {type(data).__name__}")
 
@@ -192,30 +192,26 @@ def recover_distribution(
             f"model is not edge decomposable; stuck on {len(dec.stuck)} preferences"
         )
 
+    # assigned[(x, A)]: mass peeled so far onto pair (x, A); once the peel is
+    # done it is the Mobius inverse the recovered masses reconstruct
+    n = model.universe.n
+    assigned = _contour_mass(n, ())
     masses: dict[Preference, Fraction] = {}
     for pref, pair in dec.witness:
-        value = q.value(pair.x, pair.mask)
-        for earlier, m in masses.items():
-            if earlier.contour_menu_mask(pair.x) == pair.mask:
-                value -= m
+        value = q.value(pair.x, pair.mask) - assigned[pair.key]
         masses[pref] = value
+        for x in pref.ranking:
+            assigned[(x, pref.contour_menu_mask(x))] += value
 
-    # reconstruct in the input's own representation and collect discrepancies
-    universe = model.universe
+    # compare in the input's own representation
+    if isinstance(data, RandomChoiceRule):
+        _superset_transform(assigned, n, 1)
     residual = []
     worst = Fraction(0)
-    for x, mask in contour_pair_keys(universe.n):
-        rebuilt = Fraction(0)
-        for pref, m in masses.items():
-            if compare_mobius:
-                contributes = pref.contour_menu_mask(x) == mask
-            else:
-                contributes = pref.best_in(mask) == x
-            if contributes:
-                rebuilt += m
-        diff = reference.value(x, mask) - rebuilt
+    for key, rebuilt in assigned.items():
+        diff = data[key] - rebuilt
         if diff != 0:
-            residual.append(((x, mask), diff))
+            residual.append((key, diff))
             worst = max(worst, abs(diff))
 
     ordered = tuple(sorted(masses.items(), key=lambda item: item[0].ranking))

@@ -38,6 +38,8 @@ def _loads(text: str) -> object:
         return json.loads(text, parse_float=_FloatLiteral)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects nest too deeply") from None
 
 
 def _dumps(doc: dict) -> str:
@@ -175,7 +177,9 @@ def parse_choice_data(doc: object) -> ChoiceData:
     """Parse a choice-data document; the full menu lattice is required.
 
     Partial data is rejected rather than imputed, because every downstream
-    transform needs all supersets of a menu.
+    transform needs all supersets of a menu. Sample counts, when present, must
+    name only menu members, sum to trials on each menu and give each
+    probability as count / trials.
     """
     doc = _expect_version(doc, "choice-data")
     universe = _universe_from(doc)
@@ -231,12 +235,31 @@ def parse_choice_data(doc: object) -> ChoiceData:
             saw_counts = True
             if not isinstance(raw_counts, dict):
                 raise DocumentError(f"{where}.counts: expected an object")
+            if trials is None:
+                raise DocumentError(f"{where}.counts: counts require a top-level trials")
             for label, c in raw_counts.items():
+                if label not in menu_labels:
+                    raise DocumentError(
+                        f"{where}.counts.{label}: {label!r} is not in the menu"
+                    )
                 if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                     raise DocumentError(
                         f"{where}.counts.{label}: expected a nonnegative integer"
                     )
                 counts[(universe.index(label), menu.mask)] = c
+            total = sum(raw_counts.values())
+            if total != trials:
+                raise DocumentError(
+                    f"{where}.counts: counts sum to {total}, not trials = {trials}"
+                )
+            for x in menu.members:
+                label = universe.labels[x]
+                c = raw_counts.get(label, 0)
+                if Fraction(c, trials) != values[(x, menu.mask)]:
+                    raise DocumentError(
+                        f"{where}.counts.{label}: {c}/{trials} is not the "
+                        f"probability {values[(x, menu.mask)]}"
+                    )
 
     missing = [key for key in contour_pair_keys(universe.n) if key not in values]
     if missing:

@@ -254,7 +254,7 @@ def carum_recover(rule: RandomChoiceRule) -> CarumRecovery:
         mask ^= 1 << nxt[0]
     order = Preference(universe, tuple(ranking))
     model = latin_square(order)
-    report = recover_distribution(model, rule)
+    report = recover_distribution(model, q)
     if report.distribution is None:
         raise NotCarumError(
             "the walked Latin square does not reproduce the data exactly"

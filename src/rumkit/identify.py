@@ -19,11 +19,12 @@ from .core import (
     Preference,
     contour_pair_index,
     require_vector_cap,
-    submasks,
 )
 from .errors import RumkitError
 from .stochastic import (
     PreferenceDistribution,
+    _contour_mass,
+    _superset_transform,
     rcr_from_distribution,
 )
 
@@ -42,17 +43,15 @@ def mobius_vector(pref: Preference) -> tuple[int, ...]:
 
 
 def rule_vector(pref: Preference) -> tuple[int, ...]:
-    """0/1 vector with a one per nonempty menu, at that menu's best element."""
+    """0/1 vector with a one per nonempty menu, at that menu's best element.
+
+    The forward superset transform of the point mass on pref.
+    """
     n = pref.universe.n
     require_vector_cap(n)
-    index = contour_pair_index(n)
-    coords = [0] * len(index)
-    for x in pref.ranking:
-        below = pref.contour_menu_mask(x) ^ (1 << x)
-        bit = 1 << x
-        for sub in submasks(below):
-            coords[index[(x, sub | bit)]] = 1
-    return tuple(coords)
+    table = _contour_mass(n, ((pref, 1),))
+    _superset_transform(table, n, 1)
+    return tuple(table.values())
 
 
 def _integer_rows(vectors: Sequence[Sequence]) -> list[list[int]]:
@@ -249,21 +248,3 @@ def max_identified_size(n: int) -> int:
 def excluded_preference_ratio(n: int) -> Fraction:
     """max_identified_size(n) / n!, the admissible fraction of all preferences."""
     return Fraction(max_identified_size(n), factorial(n))
-
-
-def append_one_preserves_rank(vectors: Sequence[Sequence]) -> bool:
-    """Appending a constant 1 to vectors of equal nonzero coordinate sum keeps rank.
-
-    Exposed as a test utility; the precondition (equal nonzero sums) is
-    enforced, and under it the answer is always True.
-    """
-    if not vectors:
-        raise RumkitError("need at least one vector")
-    sums = {sum(Fraction(v) for v in vec) for vec in vectors}
-    if len(sums) != 1 or 0 in sums:
-        raise RumkitError(
-            f"coordinate sums must be equal and nonzero, got {sorted(sums)}"
-        )
-    plain = rank(vectors)
-    extended = rank([tuple(vec) + (1,) for vec in vectors])
-    return plain == extended

@@ -69,6 +69,36 @@ def random_mobius_values(
     }
 
 
+def alternating_sum_mobius(rule: RandomChoiceRule) -> dict[tuple[int, int], Fraction]:
+    """Oracle for the Mobius inverse, entry by entry from its definition:
+    q(x, A) = sum over B >= A of (-1)^|B \\ A| p(x, B)."""
+    universe = rule.universe
+    table = {}
+    for x, mask in contour_pair_keys(universe.n):
+        extra = universe.full_mask & ~mask
+        total = Fraction(0)
+        add = extra
+        while True:
+            sign = -1 if add.bit_count() & 1 else 1
+            total += sign * rule.value(x, mask | add)
+            if add == 0:
+                break
+            add = (add - 1) & extra
+        table[(x, mask)] = total
+    return table
+
+
+def best_element_rule(dist: PreferenceDistribution) -> dict[tuple[int, int], Fraction]:
+    """Oracle for the induced rule: p(x, A) is the summed mass of the
+    preferences whose best element in A is x."""
+    universe = dist.universe
+    table = {key: Fraction(0) for key in contour_pair_keys(universe.n)}
+    for mask in range(1, universe.full_mask + 1):
+        for pref, m in dist.entries:
+            table[(pref.best_in(mask), mask)] += m
+    return table
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)

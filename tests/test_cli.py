@@ -52,6 +52,18 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    def test_oversized_bound_is_input_error(self, capsys):
+        code, out, err = run(capsys, "bound", "-n", "2000")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_too_deep_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, _, err = run(capsys, "mobius", "--data", str(path))
+        assert code == 2
+        assert "nest too deeply" in err and "Traceback" not in err
+
     def test_not_identified_is_exit_one(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"
         assert run(capsys, "fixtures", "--name", "fishburn", "--out", str(fixture))[0] == 0

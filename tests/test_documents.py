@@ -187,6 +187,43 @@ class TestChoiceDataDocuments:
         with pytest.raises(DocumentError, match="sum"):
             parse_choice_data(doc)
 
+    @staticmethod
+    def sampled_doc() -> dict:
+        nu1, _ = fishburn_distributions()
+        sample = sample_empirical_rule(nu1, trials=8, seed=5)
+        return dump_choice_data(sample.rule, sample.counts, sample.trials, sample.seed)
+
+    def test_count_label_outside_menu_rejected(self):
+        doc = self.sampled_doc()
+        entry = next(e for e in doc["entries"] if e["menu"] == ["a"])
+        entry["counts"]["b"] = 0
+        with pytest.raises(DocumentError, match=r"entries\[\d+\]\.counts\.b: 'b' is not in the menu"):
+            parse_choice_data(doc)
+
+    def test_counts_require_trials(self):
+        doc = self.sampled_doc()
+        del doc["trials"]
+        with pytest.raises(DocumentError, match=r"counts: counts require a top-level trials"):
+            parse_choice_data(doc)
+
+    def test_counts_must_sum_to_trials(self):
+        doc = self.sampled_doc()
+        doc["trials"] = 999
+        with pytest.raises(DocumentError, match=r"counts: counts sum to 8, not trials = 999"):
+            parse_choice_data(doc)
+
+    def test_count_over_trials_must_equal_probability(self):
+        doc = self.sampled_doc()
+        entry = next(e for e in doc["entries"] if len(e["menu"]) == 2)
+        x, y = entry["menu"]
+        entry["probabilities"][x], entry["probabilities"][y] = (
+            entry["probabilities"][y], entry["probabilities"][x]
+        )
+        if entry["counts"][x] == entry["counts"][y]:
+            entry["counts"] = {x: 8, y: 0}
+        with pytest.raises(DocumentError, match=r"counts\.\w: \d+/8 is not the probability"):
+            parse_choice_data(doc)
+
     def test_float_probability_rejected(self):
         nu1, _ = fishburn_distributions()
         doc = dump_choice_data(rcr_from_distribution(nu1))

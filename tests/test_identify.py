@@ -11,7 +11,6 @@ from rumkit import (
     RumkitError,
     Universe,
     all_preferences,
-    append_one_preserves_rank,
     contour_pair_keys,
     double_cover_model,
     fishburn_distributions,
@@ -194,6 +193,24 @@ class TestBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(RumkitError):
             max_identified_size(0)
+
+
+def append_one_preserves_rank(vectors) -> bool:
+    """Appending a constant 1 to vectors of equal nonzero coordinate sum keeps rank.
+
+    The precondition (equal nonzero sums) is enforced, and under it the
+    answer is always True.
+    """
+    if not vectors:
+        raise RumkitError("need at least one vector")
+    sums = {sum(Fraction(v) for v in vec) for vec in vectors}
+    if len(sums) != 1 or 0 in sums:
+        raise RumkitError(
+            f"coordinate sums must be equal and nonzero, got {sorted(sums)}"
+        )
+    plain = rank(vectors)
+    extended = rank([tuple(vec) + (1,) for vec in vectors])
+    return plain == extended
 
 
 class TestAppendOne:

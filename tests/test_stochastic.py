@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_distribution, random_mobius_values, random_model, random_rule
+from conftest import (
+    alternating_sum_mobius,
+    best_element_rule,
+    random_distribution,
+    random_mobius_values,
+    random_model,
+    random_rule,
+)
 from rumkit import (
     ContourPair,
     Menu,
@@ -16,16 +23,20 @@ from rumkit import (
     RumkitError,
     Universe,
     as_fraction,
+    build_diagram,
     check_stochastic_rationality_necessary,
     contour_pair_keys,
+    directed_spanning_tree,
     fishburn_distributions,
     flow_conservation_check,
     in_contour_class,
     mobius_forward,
     mobius_inverse,
     point_mass,
+    preference_basis,
     preference_from_labels,
     rcr_from_distribution,
+    rule_vector,
     sample_empirical_rule,
     validate_rcr,
     verify_contour_mass_identity,
@@ -123,7 +134,8 @@ class TestMobiusInverse:
     def test_point_mass_unit_path(self):
         p = preference_from_labels(U2, "xy")
         rule = rcr_from_distribution(point_mass(Model.of(U2, [p]), p))
-        q = mobius_inverse(rule, cross_check=True)
+        q = mobius_inverse(rule)
+        assert q.values == alternating_sum_mobius(rule)
         assert q.value(*key(U2, "x", "xy")) == 1
         assert q.value(*key(U2, "y", "y")) == 1
         assert q.value(*key(U2, "x", "x")) == 0
@@ -141,9 +153,10 @@ class TestMobiusInverse:
 
     def test_roundtrip_on_random_rules(self, rng):
         u = Universe.of_size(4)
-        for i in range(30):
+        for _ in range(30):
             rule = random_rule(rng, u)
-            q = mobius_inverse(rule, cross_check=(i < 3))
+            q = mobius_inverse(rule)
+            assert q.values == alternating_sum_mobius(rule)
             assert mobius_forward(q) == rule
 
     def test_roundtrip_from_negative_tables(self, rng):
@@ -210,6 +223,42 @@ class TestContourMassIdentity:
             for _ in range(10):
                 m = random_model(rng, u, rng.randrange(1, 7))
                 assert verify_contour_mass_identity(random_distribution(rng, m))
+
+
+class TestTransformOracles:
+    """The transforms against the independent oracles in conftest.
+
+    Rule induction and the Mobius inverse share one superset transform, so
+    verify_contour_mass_identity is true by construction; this is the
+    independent check of the contour-mass identity.
+    """
+
+    @staticmethod
+    def max_basis(n: int) -> Model:
+        d = build_diagram(Universe.of_size(n))
+        return Model.of(d.universe, [p for p, _ in preference_basis(directed_spanning_tree(d), d)])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_transforms_match_oracles(self, rng, n):
+        u = Universe.of_size(n)
+        if n == 6:
+            models = [self.max_basis(n)] * 2
+        else:
+            models = [random_model(rng, u, rng.randrange(1, 10)) for _ in range(6)]
+        for model in models:
+            nu = random_distribution(rng, model)
+            rule = rcr_from_distribution(nu)
+            assert rule.values == best_element_rule(nu)
+            q = mobius_inverse(rule)
+            assert q.values == alternating_sum_mobius(rule)
+            for x, mask in contour_pair_keys(n):
+                assert q.value(x, mask) == mass_of_class(nu, x, mask)
+            assert mobius_forward(MobiusInverse(u, alternating_sum_mobius(rule))) == rule
+            arbitrary = random_rule(rng, u)
+            assert mobius_inverse(arbitrary).values == alternating_sum_mobius(arbitrary)
+        for pref in models[-1]:
+            expect = best_element_rule(point_mass(models[-1], pref))
+            assert rule_vector(pref) == tuple(expect.values())
 
 
 class TestFlowConservation:
