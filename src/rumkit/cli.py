@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lgamma, log
 
 from . import documents
 from .core import Model, Preference, Universe, preference_from_labels
@@ -98,6 +98,12 @@ def _order_universe(labels: list[str]) -> tuple[Universe, Preference]:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    # refuse before computing n!: a huge n would never finish, and an n! past
+    # Python's int-to-str digit limit could not be printed (0 lifts that
+    # limit, which would leave no cap at all)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if args.n > 1 and lgamma(args.n + 1) / log(10) >= limit:
+        raise RumkitError(f"n={args.n}: n! would have more than {limit} digits")
     bound = max_identified_size(args.n)
     total = factorial(args.n)
     ratio = Fraction(bound, total)
@@ -539,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (RumkitError, OSError, ValueError) as exc:
-        # ValueError: sizes past what Python can format, e.g. bound -n 2000
+        # ValueError: e.g. a number past Python's int-to-str digit limit
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

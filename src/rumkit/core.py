@@ -295,6 +295,9 @@ class Model:
 
     universe: Universe
     preferences: tuple[Preference, ...]
+    _rankings: frozenset[tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default=frozenset()
+    )
 
     def __post_init__(self) -> None:
         if not self.preferences:
@@ -307,6 +310,7 @@ class Model:
             rankings.add(pref.ranking)
         ordered = tuple(sorted(self.preferences, key=lambda p: p.ranking))
         object.__setattr__(self, "preferences", ordered)
+        object.__setattr__(self, "_rankings", frozenset(rankings))
 
     @classmethod
     def of(cls, universe: Universe, prefs: Iterable[Preference]) -> "Model":
@@ -319,7 +323,11 @@ class Model:
         return iter(self.preferences)
 
     def __contains__(self, pref: Preference) -> bool:
-        return pref in self.preferences
+        return (
+            isinstance(pref, Preference)
+            and pref.universe == self.universe
+            and pref.ranking in self._rankings
+        )
 
 
 def contour_class(model: Model, pair: ContourPair) -> tuple[Preference, ...]:

@@ -1,17 +1,20 @@
 """Exact identification tests via linear independence of choice vectors.
 
 A model is identified exactly when the Mobius vectors of its preferences are
-linearly independent. Rank is computed over the rationals with fraction-free
-integer elimination; a fast modular pre-screen may certify full rank, but a
-negative answer is always backed by an exact nullspace certificate carrying
-two distinct distributions that induce the same rule.
+linearly independent. Each vector is a minimal circuit of the flow diagram: n
+ones among n * 2^(n-1) coordinates. One sparse routine, structured Gaussian
+elimination (LaMacchia and Odlyzko, 1990), does every rank and nullspace
+computation, over GF(p) or exactly over the rationals. A screen mod p may
+certify full rank but never a deficiency; a negative answer is always backed
+by an exact nullspace certificate carrying two distinct distributions that
+induce the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 from .core import (
@@ -31,14 +34,19 @@ from .stochastic import (
 _PRESCREEN_PRIME = (1 << 61) - 1
 
 
+def _circuit(pref: Preference, index: dict[tuple[int, int], int]) -> list[int]:
+    """The coordinates of pref's n upper contour pairs."""
+    return [index[(x, pref.contour_menu_mask(x))] for x in pref.ranking]
+
+
 def mobius_vector(pref: Preference) -> tuple[int, ...]:
     """0/1 vector with ones exactly at pref's n upper contour pairs."""
     n = pref.universe.n
     require_vector_cap(n)
     index = contour_pair_index(n)
     coords = [0] * len(index)
-    for x in pref.ranking:
-        coords[index[(x, pref.contour_menu_mask(x))]] = 1
+    for c in _circuit(pref, index):
+        coords[c] = 1
     return tuple(coords)
 
 
@@ -54,128 +62,63 @@ def rule_vector(pref: Preference) -> tuple[int, ...]:
     return tuple(table.values())
 
 
-def _integer_rows(vectors: Sequence[Sequence]) -> list[list[int]]:
-    rows = []
-    width = None
-    for vec in vectors:
-        if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise RumkitError(
-                f"vectors have mixed lengths {width} and {len(vec)}"
-            )
-        fracs = [Fraction(v) for v in vec]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * scale) for f in fracs])
-    return rows
+def _eliminate(
+    rows: Sequence[dict[int, Fraction | int]], prime: int | None = None
+) -> tuple[int, dict[int, Fraction | int] | None]:
+    """Structured Gaussian elimination on sparse rows ({coordinate: value}).
+
+    Rows are reduced in the given order, over GF(prime), or exactly over Q
+    when prime is None. Each row that stays nonzero becomes the pivot of its
+    smallest coordinate, scaled so that entry is 1. Every row carries its
+    combination of input rows, so the first row to reduce to zero yields a
+    dependency {row index: coefficient} with coefficient 1 on that row; its
+    predecessors are independent, so that dependency is the unique one.
+    Returns the rank and that dependency, or None when the rows are
+    independent.
+    """
+    pivots: dict[int, tuple[dict, dict]] = {}
+    dependency = None
+    for i, row in enumerate(rows):
+        if prime is not None:
+            row = {c: v % prime for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        combo = {i: Fraction(1) if prime is None else 1}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                break
+            factor = row[lead]
+            for target, source in zip((row, combo), pivots[lead]):
+                for c, v in source.items():
+                    value = target.get(c, 0) - factor * v
+                    if prime is not None:
+                        value %= prime
+                    if value:
+                        target[c] = value
+                    else:
+                        target.pop(c, None)
+        if not row:
+            if dependency is None:
+                dependency = combo
+            continue
+        scale = 1 / Fraction(row[lead]) if prime is None else pow(row[lead], -1, prime)
+        for target in (row, combo):
+            for c, v in target.items():
+                target[c] = v * scale if prime is None else v * scale % prime
+        pivots[lead] = (row, combo)
+    return len(pivots), dependency
 
 
 def rank(vectors: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers, then eliminated with single-step fraction-free
-    updates dividing by the previous pivot; every division is checked exact.
-    """
-    rows = _integer_rows(vectors)
-    if not rows:
-        return 0
-    m = len(rows)
-    ncols = len(rows[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[col]
-            for c in range(col, ncols):
-                num = p * row[c] - f * prow[c]
-                quot, rem = divmod(num, prev)
-                if rem:
-                    raise RumkitError("fraction-free elimination lost exactness")
-                row[c] = quot
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_mod_prime(rows: Sequence[Sequence[int]], prime: int) -> int:
-    work = [[v % prime for v in row] for row in rows]
-    m = len(work)
-    if m == 0:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][col], prime - 2, prime)
-        prow = work[r]
-        for i in range(r + 1, m):
-            f = work[i][col]
-            if f:
-                factor = f * inv % prime
-                row = work[i]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - factor * prow[c]) % prime
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _nullspace_vector(vectors: Sequence[Sequence]) -> list[Fraction]:
-    """A nonzero c with sum c_j * vectors[j] = 0; deterministic first free column."""
-    k = len(vectors)
-    ncoords = len(vectors[0])
-    cols = [[Fraction(vectors[j][i]) for j in range(k)] for i in range(ncoords)]
-    pivot_rows: list[tuple[int, int]] = []  # (row, col)
-    row = 0
-    for col in range(k):
-        piv = None
-        for i in range(row, ncoords):
-            if cols[i][col]:
-                piv = i
-                break
-        if piv is None:
-            c = [Fraction(0)] * k
-            c[col] = Fraction(1)
-            for prow, pcol in reversed(pivot_rows):
-                s = sum(cols[prow][j] * c[j] for j in range(pcol + 1, col + 1))
-                c[pcol] = -s / cols[prow][pcol]
-            return c
-        if piv != row:
-            cols[row], cols[piv] = cols[piv], cols[row]
-        prow_vals = cols[row]
-        pval = prow_vals[col]
-        for i in range(row + 1, ncoords):
-            f = cols[i][col]
-            if f:
-                factor = f / pval
-                rowi = cols[i]
-                for c2 in range(col, k):
-                    rowi[c2] -= factor * prow_vals[c2]
-        pivot_rows.append((row, col))
-        row += 1
-    raise RumkitError("no nullspace vector: the vectors are linearly independent")
+    """Exact rank over the rationals of equal-length vectors."""
+    rows = []
+    for vec in vectors:
+        if len(vec) != len(vectors[0]):
+            raise RumkitError(
+                f"vectors have mixed lengths {len(vectors[0])} and {len(vec)}"
+            )
+        rows.append({c: Fraction(v) for c, v in enumerate(vec) if v})
+    return _eliminate(rows)[0]
 
 
 @dataclass(frozen=True)
@@ -201,11 +144,12 @@ class IdentificationResult:
         return self.identified
 
 
-def _certificate(model: Model, coeffs: Sequence[Fraction]) -> NullspaceCertificate:
+def _certificate(model: Model, coeffs: dict[int, Fraction]) -> NullspaceCertificate:
     pos: dict[Preference, Fraction] = {}
     neg: dict[Preference, Fraction] = {}
     nonzero = []
-    for pref, c in zip(model.preferences, coeffs):
+    for j, pref in enumerate(model.preferences):
+        c = coeffs.get(j, 0)
         if c > 0:
             pos[pref] = c
         elif c < 0:
@@ -226,16 +170,23 @@ def _certificate(model: Model, coeffs: Sequence[Fraction]) -> NullspaceCertifica
 def is_identified(model: Model) -> IdentificationResult:
     """Decide identification on Mobius vectors; certify any failure.
 
-    The modular pre-screen can only certify full rank (rank mod p never
-    exceeds the rational rank); anything less falls through to the exact path.
+    The preferences' circuits go as sparse rows, in model order, through one
+    elimination routine. Run mod p it screens: full rank mod p certifies full
+    rational rank (rank mod p never exceeds it), but a dependency found mod p
+    is never a certificate. When the screen fails, the exact rank decides,
+    and the exact elimination's first dependency, the unique combination of
+    the first preference whose vector depends on the ones before it, gives
+    the certificate.
     """
-    vectors = [mobius_vector(pref) for pref in model]
-    if _rank_mod_prime(vectors, _PRESCREEN_PRIME) == len(vectors):
+    n = model.universe.n
+    require_vector_cap(n)
+    index = contour_pair_index(n)
+    rows = [dict.fromkeys(_circuit(pref, index), 1) for pref in model]
+    if _eliminate(rows, _PRESCREEN_PRIME)[0] == len(rows):
         return IdentificationResult(True, None)
-    if rank(vectors) == len(vectors):
+    if rank([mobius_vector(pref) for pref in model]) == len(rows):
         return IdentificationResult(True, None)
-    coeffs = _nullspace_vector(vectors)
-    return IdentificationResult(False, _certificate(model, coeffs))
+    return IdentificationResult(False, _certificate(model, _eliminate(rows)[1]))
 
 
 def max_identified_size(n: int) -> int:

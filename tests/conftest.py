@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -24,6 +25,8 @@ def random_preference(rng: random.Random, universe: Universe) -> Preference:
 
 
 def random_model(rng: random.Random, universe: Universe, size: int) -> Model:
+    if size > factorial(universe.n):
+        raise ValueError(f"no {size} distinct preferences on {universe.n} alternatives")
     chosen: dict[tuple[int, ...], Preference] = {}
     while len(chosen) < size:
         pref = random_preference(rng, universe)
@@ -97,6 +100,37 @@ def best_element_rule(dist: PreferenceDistribution) -> dict[tuple[int, int], Fra
         for pref, m in dist.entries:
             table[(pref.best_in(mask), mask)] += m
     return table
+
+
+def nullspace_vector(vectors) -> list[Fraction]:
+    """Oracle for the certificate: a nonzero c with sum c_j * vectors[j] = 0,
+    from dense Fraction elimination on the vectors as columns, taking the
+    first free column with coefficient 1."""
+    k = len(vectors)
+    ncoords = len(vectors[0])
+    cols = [[Fraction(vectors[j][i]) for j in range(k)] for i in range(ncoords)]
+    pivot_rows: list[tuple[int, int]] = []  # (row, col)
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, ncoords) if cols[i][col]), None)
+        if piv is None:
+            c = [Fraction(0)] * k
+            c[col] = Fraction(1)
+            for prow, pcol in reversed(pivot_rows):
+                s = sum(cols[prow][j] * c[j] for j in range(pcol + 1, col + 1))
+                c[pcol] = -s / cols[prow][pcol]
+            return c
+        cols[row], cols[piv] = cols[piv], cols[row]
+        pval = cols[row][col]
+        for i in range(row + 1, ncoords):
+            f = cols[i][col]
+            if f:
+                factor = f / pval
+                for c2 in range(col, k):
+                    cols[i][c2] -= factor * cols[row][c2]
+        pivot_rows.append((row, col))
+        row += 1
+    raise ValueError("no nullspace vector: the vectors are linearly independent")
 
 
 @pytest.fixture

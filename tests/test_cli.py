@@ -57,6 +57,13 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_bound_capped_at_the_digit_limit(self, capsys):
+        assert run(capsys, "bound", "-n", "1558")[0] == 0
+        for n in ("1559", "1000000000"):
+            code, out, err = run(capsys, "bound", "-n", n)
+            assert code == 2 and out == ""
+            assert err == f"error: n={n}: n! would have more than 4300 digits\n"
+
     def test_too_deep_document_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000, encoding="utf-8")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_model
 from rumkit import (
     ContourPair,
     LabelError,
@@ -217,6 +218,18 @@ class TestModel:
     def test_empty_rejected(self):
         with pytest.raises(RumkitError):
             Model.of(U3, [])
+
+    def test_membership_needs_universe_and_ranking(self):
+        m = Model.of(U3, [preference_from_labels(U3, "abc")])
+        assert Preference(U3, (0, 1, 2)) in m
+        assert Preference(U3, (0, 2, 1)) not in m
+        assert Preference(Universe(("x", "y", "z")), (0, 1, 2)) not in m
+        assert (0, 1, 2) not in m
+
+    def test_random_model_refuses_more_than_n_factorial(self, rng):
+        assert len(random_model(rng, U3, 6)) == 6
+        with pytest.raises(ValueError, match="distinct preferences"):
+            random_model(rng, U3, 7)
 
 
 class TestCoordinateOrder:

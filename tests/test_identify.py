@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_model
+from conftest import nullspace_vector, random_model
 from rumkit import (
     Model,
     Preference,
     RumkitError,
     Universe,
     all_preferences,
+    build_diagram,
     contour_pair_keys,
+    directed_spanning_tree,
     double_cover_model,
     fishburn_distributions,
     fishburn_model,
@@ -20,6 +22,7 @@ from rumkit import (
     mobius_inverse,
     mobius_vector,
     point_mass,
+    preference_basis,
     preference_from_labels,
     rank,
     rcr_from_distribution,
@@ -125,6 +128,12 @@ class TestRank:
         with pytest.raises(RumkitError):
             rank([(1, 0), (1, 0, 0)])
 
+    def test_exact_where_the_screen_prime_is_not(self):
+        p = (1 << 61) - 1
+        assert rank([(p,)]) == 1
+        # determinant p: singular mod p, regular over Q
+        assert rank([(1, 1), (1, 1 + p)]) == 2
+
 
 class TestIsIdentified:
     def test_fishburn_not_identified_with_certificate(self):
@@ -142,6 +151,36 @@ class TestIsIdentified:
             for i, v in enumerate(mobius_vector(p)):
                 total[i] += c * v
         assert not any(total)
+
+    @pytest.mark.parametrize("n, most", [(4, 24), (5, 70)])
+    def test_rank_and_certificate_match_oracles(self, rng, n, most):
+        u = Universe.of_size(n)
+        deficient = 0
+        for _ in range(15):
+            m = random_model(rng, u, rng.randrange(2, most + 1))
+            vectors = [mobius_vector(p) for p in m]
+            full = rank(vectors) == len(m)
+            assert rank(vectors) == rank_oracle(vectors)
+            res = is_identified(m)
+            assert res.identified == full
+            if not full:
+                deficient += 1
+                oracle = nullspace_vector(vectors)
+                expected = tuple((p, c) for p, c in zip(m, oracle) if c)
+                assert res.certificate.coefficients == expected
+        assert deficient >= 5
+
+    def test_max_basis_plus_one_certified_n7(self):
+        u = Universe.of_size(7)
+        diagram = build_diagram(u, appended=True)
+        basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
+        inside = {p.ranking for p in basis}
+        extra = next(p for p in all_preferences(u) if p.ranking not in inside)
+        res = is_identified(Model.of(u, basis + [extra]))
+        assert not res
+        cert = res.certificate
+        assert set(cert.nu.support).isdisjoint(cert.nu_prime.support)
+        assert rcr_from_distribution(cert.nu) == rcr_from_distribution(cert.nu_prime)
 
     def test_double_cover_identified(self):
         assert is_identified(double_cover_model())
