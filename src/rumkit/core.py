@@ -224,6 +224,10 @@ class Preference:
         """Mask of the weak lower contour set of x: x and everything below it."""
         return self._suffix_masks[self._positions[x]]
 
+    def contour_keys(self) -> Iterator[tuple[int, int]]:
+        """The n keys (x, weak lower contour set of x), best first: pref's circuit."""
+        return zip(self.ranking, self._suffix_masks)
+
     def reverse(self) -> "Preference":
         return Preference(self.universe, self.ranking[::-1])
 
@@ -280,9 +284,7 @@ def upper_contour_pairs(pref: Preference) -> tuple[ContourPair, ...]:
     These are exactly the pairs whose contour class contains pref.
     """
     u = pref.universe
-    return tuple(
-        ContourPair(x, Menu(u, pref.contour_menu_mask(x))) for x in pref.ranking
-    )
+    return tuple(ContourPair(x, Menu(u, mask)) for x, mask in pref.contour_keys())
 
 
 @dataclass(frozen=True)

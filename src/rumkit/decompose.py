@@ -10,6 +10,7 @@ order is a sequential witness.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -21,7 +22,6 @@ from .core import (
     Preference,
     bits_of,
     contour_pair_keys,
-    upper_contour_pairs,
 )
 from .errors import NotEdgeDecomposableError, RumkitError, WitnessError
 from .stochastic import (
@@ -30,6 +30,7 @@ from .stochastic import (
     RandomChoiceRule,
     _contour_mass,
     _superset_transform,
+    as_fraction,
     mobius_inverse,
     validate_rcr,
 )
@@ -71,32 +72,25 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
     has a pair unique to it.
     """
     remaining = list(model.preferences)
-    cover: dict[tuple[int, int], int] = {}
-    pair_keys = {
-        pref: tuple(pair.key for pair in upper_contour_pairs(pref))
-        for pref in remaining
-    }
-    for pref in remaining:
-        for key in pair_keys[pref]:
-            cover[key] = cover.get(key, 0) + 1
+    cover = Counter(key for pref in remaining for key in pref.contour_keys())
     entries: list[tuple[Preference, ContourPair]] = []
     universe = model.universe
     while remaining:
-        hit = None
-        for pref in remaining:
-            for key in pair_keys[pref]:
-                if cover[key] == 1:
-                    hit = (pref, key)
-                    break
-            if hit:
-                break
+        hit = next(
+            (
+                (pref, key)
+                for pref in remaining
+                for key in pref.contour_keys()
+                if cover[key] == 1
+            ),
+            None,
+        )
         if hit is None:
             return DecompositionResult(False, None, Model.of(universe, remaining))
         pref, (x, mask) = hit
         entries.append((pref, ContourPair(x, Menu(universe, mask))))
         remaining.remove(pref)
-        for key in pair_keys[pref]:
-            cover[key] -= 1
+        cover.subtract(pref.contour_keys())
     return DecompositionResult(True, DecompositionWitness(tuple(entries)), None)
 
 
@@ -169,7 +163,7 @@ def recover_distribution(
     sampled data); anything else means the data was not generated by this
     model and the status is failed.
     """
-    tol = Fraction(tolerance)
+    tol = as_fraction(tolerance)
     if tol < 0:
         raise RumkitError(f"tolerance must be >= 0, got {tol}")
     if isinstance(data, MobiusInverse):
@@ -200,8 +194,8 @@ def recover_distribution(
     for pref, pair in dec.witness:
         value = q.value(pair.x, pair.mask) - assigned[pair.key]
         masses[pref] = value
-        for x in pref.ranking:
-            assigned[(x, pref.contour_menu_mask(x))] += value
+        for key in pref.contour_keys():
+            assigned[key] += value
 
     # compare in the input's own representation
     if isinstance(data, RandomChoiceRule):
@@ -242,20 +236,18 @@ def extend_edge_decomposable(seed: Model) -> Model:
     universe = seed.universe
     full = universe.full_mask
     prefs = list(seed.preferences)
-    covered = {
-        (x, pref.contour_menu_mask(x)) for pref in prefs for x in pref.ranking
-    }
-    keys = contour_pair_keys(universe.n)
-    while True:
-        target = next((key for key in keys if key not in covered), None)
-        if target is None:
-            return Model.of(universe, prefs)
-        x, mask = target
+    covered = {key for pref in prefs for key in pref.contour_keys()}
+    # covered only grows and each addition covers its own target, so one
+    # pass in canonical order finds every target a rescan from the start would
+    for key in contour_pair_keys(universe.n):
+        if key in covered:
+            continue
+        x, mask = key
         outside = full & ~mask
         ranking = (
             tuple(bits_of(outside)) + (x,) + tuple(bits_of(mask ^ (1 << x)))
         )
         pref = Preference(universe, ranking)
         prefs.append(pref)
-        for y in pref.ranking:
-            covered.add((y, pref.contour_menu_mask(y)))
+        covered.update(pref.contour_keys())
+    return Model.of(universe, prefs)

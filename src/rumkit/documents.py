@@ -9,6 +9,7 @@ round-trips are byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +41,11 @@ def _loads(text: str) -> object:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: arrays or objects nest too deeply") from None
+    except ValueError:
+        # int() refuses a literal past the int-to-str digit limit
+        raise DocumentError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _dumps(doc: dict) -> str:
@@ -69,9 +75,10 @@ def _expect_version(doc: object, kind: str) -> dict:
         raise DocumentError(f"expected a JSON object for a {kind} document")
     if doc.get("kind") != kind:
         raise DocumentError(f"kind: expected {kind!r}, got {doc.get('kind')!r}")
-    if doc.get("version") != FORMAT_VERSION:
+    version = doc.get("version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise DocumentError(
-            f"version: expected {FORMAT_VERSION}, got {doc.get('version')!r}"
+            f"version: expected {FORMAT_VERSION}, got {version!r}"
         )
     return doc
 
@@ -105,7 +112,7 @@ def parse_model(doc: object) -> Model:
         raise DocumentError("preferences: expected a nonempty list of rankings")
     prefs = []
     for i, ranking in enumerate(raw):
-        if not isinstance(ranking, list):
+        if not isinstance(ranking, list) or not all(isinstance(a, str) for a in ranking):
             raise DocumentError(f"preferences[{i}]: expected a list of labels")
         try:
             prefs.append(preference_from_labels(universe, ranking))

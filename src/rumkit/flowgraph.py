@@ -112,9 +112,7 @@ def preference_to_circuit(pref: Preference, diagram: FlowDiagram) -> Circuit:
     require_same_universe(pref, diagram)
     if not diagram.appended:
         raise RumkitError("circuits need the appended diagram")
-    edges = [
-        diagram.edge_id(x, pref.contour_menu_mask(x)) for x in pref.ranking
-    ]
+    edges = [diagram.edge_id(x, mask) for x, mask in pref.contour_keys()]
     edges.append(diagram.appended_edge_id)
     return Circuit(diagram, tuple(edges))
 

@@ -34,19 +34,14 @@ from .stochastic import (
 _PRESCREEN_PRIME = (1 << 61) - 1
 
 
-def _circuit(pref: Preference, index: dict[tuple[int, int], int]) -> list[int]:
-    """The coordinates of pref's n upper contour pairs."""
-    return [index[(x, pref.contour_menu_mask(x))] for x in pref.ranking]
-
-
 def mobius_vector(pref: Preference) -> tuple[int, ...]:
     """0/1 vector with ones exactly at pref's n upper contour pairs."""
     n = pref.universe.n
     require_vector_cap(n)
     index = contour_pair_index(n)
     coords = [0] * len(index)
-    for c in _circuit(pref, index):
-        coords[c] = 1
+    for key in pref.contour_keys():
+        coords[index[key]] = 1
     return tuple(coords)
 
 
@@ -181,7 +176,7 @@ def is_identified(model: Model) -> IdentificationResult:
     n = model.universe.n
     require_vector_cap(n)
     index = contour_pair_index(n)
-    rows = [dict.fromkeys(_circuit(pref, index), 1) for pref in model]
+    rows = [{index[key]: 1 for key in pref.contour_keys()} for pref in model]
     if _eliminate(rows, _PRESCREEN_PRIME)[0] == len(rows):
         return IdentificationResult(True, None)
     if rank([mobius_vector(pref) for pref in model]) == len(rows):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -37,6 +38,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Convert an exact input to Fraction; floats are rejected.
 
     Strings may be rational ("2/3") or exact decimal ("0.25" -> 1/4).
+    Exponent notation ("1e-3") is rejected: Fraction expands the power of ten
+    exactly, so a large exponent would stall.
     """
     if isinstance(value, bool):
         raise RumkitError(f"{value!r} is not a number")
@@ -47,6 +50,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if re.search(r"[eE][-+]?\d", value):
+            raise RumkitError(
+                f"exponent notation {value!r} rejected: write the value as a "
+                "decimal or a ratio like '1/1000'"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -192,8 +200,8 @@ def _contour_mass(n: int, entries) -> dict:
     """
     table = dict.fromkeys(contour_pair_keys(n), 0)
     for pref, mass in entries:
-        for x in pref.ranking:
-            table[(x, pref.contour_menu_mask(x))] += mass
+        for key in pref.contour_keys():
+            table[key] += mass
     return table
 
 

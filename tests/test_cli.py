@@ -1,18 +1,33 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumkit import (
     Model,
     PreferenceDistribution,
     Universe,
+    all_preferences,
     preference_from_labels,
+    rcr_from_distribution,
 )
 from rumkit.cli import main
-from rumkit.documents import load_model, save_distribution, save_model
+from rumkit.documents import (
+    dump_choice_data,
+    dump_distribution,
+    dump_model,
+    load_model,
+    save_distribution,
+    save_model,
+)
 
 
 def run(capsys, *argv):
@@ -70,6 +85,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "mobius", "--data", str(path))
         assert code == 2
         assert "nest too deeply" in err and "Traceback" not in err
+
+    def test_over_long_json_integer_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "model", "version": ' + "9" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, "check-identified", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: invalid JSON: an integer has more than 4300 digits\n"
 
     def test_not_identified_is_exit_one(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"
@@ -151,6 +173,20 @@ class TestGenerateRecover:
         )
         assert code == 0
         assert "status:" in out
+
+    def test_exponent_tolerance_is_input_error(self, capsys, tmp_path, square):
+        model_file, dist_file = square
+        data_file = tmp_path / "data.json"
+        run(
+            capsys, "generate", "--model", str(model_file), "--dist", str(dist_file),
+            "--out", str(data_file),
+        )
+        code, out, err = run(
+            capsys, "recover", "--model", str(model_file), "--data", str(data_file),
+            "--tolerance", "1e100000000",
+        )
+        assert code == 2 and out == ""
+        assert "exponent notation '1e100000000'" in err and err.count("\n") == 1
 
     def test_foreign_data_fails_recovery(self, capsys, tmp_path, square):
         model_file, _ = square
@@ -283,3 +319,92 @@ class TestReportDeterminism:
             capsys, "check-identified", "--model", str(fixture), "--certificate", "--json"
         )
         assert out1 == out2
+
+
+_HUGE = "<over-long integer>"
+_HOSTILE = st.one_of(
+    st.sampled_from([
+        "1e100000000", "1E-99999999", "2.5e+3", _HUGE, True, None, 0.5, "",
+        "1/0", "-1/2", "0.25", "1/3", "a", [], {}, ["a"], [["a"]], {"a": "1"},
+    ]),
+    st.integers(-2, 3),
+    st.text(max_size=4),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON document."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+@st.composite
+def _hostile_document(draw, doc):
+    """doc as JSON text, with up to two values replaced by hostile ones."""
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(_HOSTILE)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+    return json.dumps(doc).replace(f'"{_HUGE}"', "9" * 5000)
+
+
+@st.composite
+def _documents(draw):
+    """A model, a distribution over it and its choice data, then damaged."""
+    u = Universe.of_size(draw(st.integers(2, 3)))
+    prefs = draw(st.sets(st.sampled_from(list(all_preferences(u))), min_size=1))
+    model = Model.of(u, prefs)
+    weights = [draw(st.integers(1, 4)) for _ in model.preferences]
+    nu = PreferenceDistribution(
+        model, {p: Fraction(w, sum(weights)) for p, w in zip(model.preferences, weights)}
+    )
+    rule = rcr_from_distribution(nu)
+    return (
+        draw(_hostile_document(dump_model(model))),
+        draw(_hostile_document(dump_distribution(nu))),
+        draw(_hostile_document(dump_choice_data(rule))),
+        draw(st.sampled_from(["1/10", "0", "-1", "abc", "0.5", "1e100000000"])),
+    )
+
+
+_COMMANDS = (
+    ["check-identified", "--model", "{m}", "--certificate"],
+    ["check-edge-decomposable", "--model", "{m}", "--witness", "--json"],
+    ["extend", "--model", "{m}", "--out", "{out}"],
+    ["mobius", "--data", "{d}", "--check-flow"],
+    ["recover", "--model", "{m}", "--data", "{d}", "--tolerance", "{tolerance}"],
+    ["generate", "--model", "{m}", "--dist", "{nu}", "--out", "{out}", "--samples", "5"],
+    ["carum-recover", "--data", "{d}"],
+    ["check-single-crossing", "--model", "{m}", "--search-order"],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_documents(), st.sampled_from(_COMMANDS))
+def test_cli_exit_contract_on_hostile_documents(docs, command):
+    """Every command exits 0, 1 or 2 and never prints a traceback."""
+    model_text, dist_text, data_text, tolerance = docs
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        files = {name: str(folder / name) for name in ("m", "nu", "d", "out")}
+        for name, text in (("m", model_text), ("nu", dist_text), ("d", data_text)):
+            Path(files[name]).write_text(text, encoding="utf-8")
+        argv = [arg.format(tolerance=tolerance, **files) for arg in command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert stderr.getvalue().count("\n") == 1

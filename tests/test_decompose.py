@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -13,10 +14,12 @@ from rumkit import (
     Preference,
     PreferenceDistribution,
     RecoveryStatus,
+    RumkitError,
     Universe,
     WitnessError,
     all_preferences,
     build_diagram,
+    contour_pair_keys,
     directed_spanning_tree,
     double_cover_model,
     extend_edge_decomposable,
@@ -203,6 +206,14 @@ class TestRecoverDistribution:
         for pref, mass in dist.entries:
             assert abs(report.mass_of(pref) - mass) < Fraction(1, 10)
 
+    @pytest.mark.parametrize("tolerance", [0.5, "abc", "1e100000000", True])
+    def test_inexact_tolerance_rejected(self, tolerance):
+        u = Universe.of_size(3)
+        m = latin_square(Preference(u, (0, 1, 2)))
+        data = rcr_from_distribution(point_mass(m, m.preferences[0]))
+        with pytest.raises(RumkitError):
+            recover_distribution(m, data, tolerance=tolerance)
+
     def test_roundtrip_random_decomposable_models(self, rng):
         for n in (4, 5):
             u = Universe.of_size(n)
@@ -216,6 +227,29 @@ class TestRecoverDistribution:
                 assert report.status is RecoveryStatus.EXACT
                 assert report.distribution == nu
                 done += 1
+
+
+def restart_scan_extend(seed: Model) -> Model:
+    """Extension oracle: after each addition, rescan the contour pairs from the
+    first for one whose class misses the model, and add its canonical member."""
+    u = seed.universe
+
+    def pairs(pref: Preference) -> set[tuple[int, int]]:
+        r = pref.ranking
+        return {(x, sum(1 << y for y in r[i:])) for i, x in enumerate(r)}
+
+    prefs = list(seed.preferences)
+    covered = set().union(*map(pairs, prefs))
+    while True:
+        target = next((k for k in contour_pair_keys(u.n) if k not in covered), None)
+        if target is None:
+            return Model.of(u, prefs)
+        x, mask = target
+        above = [y for y in range(u.n) if not mask >> y & 1]
+        below = [y for y in range(u.n) if mask >> y & 1 and y != x]
+        pref = Preference(u, tuple(above + [x] + below))
+        prefs.append(pref)
+        covered |= pairs(pref)
 
 
 class TestExtend:
@@ -245,6 +279,17 @@ class TestExtend:
             extended = extend_edge_decomposable(m)
             assert set(m.preferences) <= set(extended.preferences)
             done += 1
+
+    def test_matches_restart_scan_oracle(self, rng):
+        seeds = [latin_square(Preference(Universe.of_size(n), tuple(range(n)))) for n in (4, 5, 6)]
+        for n in (2, 3, 4, 5, 6):
+            u = Universe.of_size(n)
+            while len(seeds) < 3 + 4 * (n - 1):
+                m = random_model(rng, u, rng.randrange(1, min(6, factorial(n)) + 1))
+                if is_edge_decomposable(m):
+                    seeds.append(m)
+        for seed in seeds:
+            assert extend_edge_decomposable(seed) == restart_scan_extend(seed)
 
     def test_rejects_nondecomposable_seed(self):
         with pytest.raises(NotEdgeDecomposableError):

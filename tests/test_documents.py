@@ -77,6 +77,28 @@ class TestModelDocuments:
         with pytest.raises(DocumentError, match="kind"):
             parse_model({"kind": "distribution", "version": 1})
 
+    def test_non_string_label_rejected(self):
+        doc = {
+            "kind": "model",
+            "version": 1,
+            "alternatives": ["a", "b"],
+            "preferences": [[["a"], "b"]],
+        }
+        with pytest.raises(DocumentError, match=r"preferences\[0\]: expected a list of labels"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize("version", [True, "1", 2])
+    def test_version_must_be_the_integer_one(self, version):
+        doc = {"kind": "model", "version": version, "alternatives": ["a"], "preferences": [["a"]]}
+        with pytest.raises(DocumentError, match=f"version: expected 1, got {version!r}"):
+            parse_model(doc)
+
+    def test_over_long_integer_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "model", "version": ' + "1" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(DocumentError, match="integer has more than 4300 digits"):
+            load_model(path)
+
 
 class TestDistributionDocuments:
     def test_exact_decimal_becomes_quarter(self, l3_model):
@@ -231,6 +253,15 @@ class TestChoiceDataDocuments:
         from rumkit.documents import _loads
 
         with pytest.raises(DocumentError, match="floating-point"):
+            parse_choice_data(_loads(text))
+
+    def test_exponent_probability_rejected_with_field(self):
+        nu1, _ = fishburn_distributions()
+        doc = dump_choice_data(rcr_from_distribution(nu1))
+        text = json.dumps(doc).replace('"1/2"', '"1e100000000"', 1)
+        from rumkit.documents import _loads
+
+        with pytest.raises(DocumentError, match=r"probabilities\.\w+: exponent notation '1e100000000'"):
             parse_choice_data(_loads(text))
 
     def test_exact_decimal_accepted(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,11 @@ class TestAsFraction:
     def test_garbage_rejected(self):
         with pytest.raises(RumkitError):
             as_fraction("one half")
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1E-99999999", "2.5e+3", "1.e5", " 3e1 "])
+    def test_exponent_rejected(self, text):
+        with pytest.raises(RumkitError, match=re.escape(f"exponent notation {text!r}")):
+            as_fraction(text)
 
 
 class TestRuleFromDistribution:
