@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Every subcommand renders a human-readable report by default or machine JSON
-with --json. Exit codes: 0 for success or an affirmative determination, 1 for
-a negative determination (not identified, not decomposable, not a Latin
-square, recovery failed), 2 for input errors. All output is a deterministic
-function of the inputs.
+Every subcommand returns its result as (exit code, payload, lines): the JSON
+payload and the human-readable text lines. main prints the payload with
+--json and the lines otherwise, and nothing else prints a result. Exit codes:
+0 for success or an affirmative determination, 1 for a negative determination
+(not identified, not decomposable, not a Latin square, recovery failed), 2 for
+input errors. All output is a deterministic function of the inputs.
 """
 
 from __future__ import annotations
@@ -58,13 +59,7 @@ OK = 0
 NEGATIVE = 1
 INPUT_ERROR = 2
 
-
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
+Result = tuple[int, dict, list[str]]
 
 
 def _ranking_text(pref: Preference) -> str:
@@ -97,7 +92,7 @@ def _order_universe(labels: list[str]) -> tuple[Universe, Preference]:
 
 # -- subcommands --------------------------------------------------------------
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> Result:
     # refuse before computing n!: a huge n would never finish, and an n! past
     # Python's int-to-str digit limit could not be printed (0 lifts that
     # limit, which would leave no cap at all)
@@ -107,26 +102,22 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     bound = max_identified_size(args.n)
     total = factorial(args.n)
     ratio = Fraction(bound, total)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "bound": bound,
-            "total_preferences": total,
-            "ratio": f"{bound}/{total}",
-            "ratio_reduced": str(ratio),
-        },
-        [
-            f"n: {args.n}",
-            f"max identified model size: {bound}",
-            f"total preferences: {total}",
-            f"ratio: {bound}/{total} (= {ratio})",
-        ],
-    )
-    return OK
+    payload = {
+        "n": args.n,
+        "bound": bound,
+        "total_preferences": total,
+        "ratio": f"{bound}/{total}",
+        "ratio_reduced": str(ratio),
+    }
+    return OK, payload, [
+        f"n: {args.n}",
+        f"max identified model size: {bound}",
+        f"total preferences: {total}",
+        f"ratio: {bound}/{total} (= {ratio})",
+    ]
 
 
-def _cmd_check_identified(args: argparse.Namespace) -> int:
+def _cmd_check_identified(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     result = is_identified(model)
     payload: dict = {"identified": result.identified, "size": len(model)}
@@ -146,11 +137,10 @@ def _cmd_check_identified(args: argparse.Namespace) -> int:
         ]
         lines += ["  " + line for line in _mass_lines(cert.nu, "nu")]
         lines += ["  " + line for line in _mass_lines(cert.nu_prime, "nu'")]
-    _emit(args, payload, lines)
-    return OK if result.identified else NEGATIVE
+    return OK if result.identified else NEGATIVE, payload, lines
 
 
-def _cmd_check_edge_decomposable(args: argparse.Namespace) -> int:
+def _cmd_check_edge_decomposable(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     result = is_edge_decomposable(model)
     payload: dict = {"edge_decomposable": result.decomposable, "size": len(model)}
@@ -160,23 +150,18 @@ def _cmd_check_edge_decomposable(args: argparse.Namespace) -> int:
     ]
     if result.decomposable and args.witness:
         payload["witness"] = [
-            {"preference": _ranking_text(p), "pair": _pair_text(model.universe, pair.x, pair.mask)}
-            for p, pair in result.witness
+            {"preference": _ranking_text(p), "pair": str(pair)} for p, pair in result.witness
         ]
         lines.append("peeling order (preference, witnessed pair):")
-        lines += [
-            f"  {_ranking_text(p)} via {_pair_text(model.universe, pair.x, pair.mask)}"
-            for p, pair in result.witness
-        ]
+        lines += [f"  {_ranking_text(p)} via {pair}" for p, pair in result.witness]
     if not result.decomposable:
         payload["stuck"] = [_ranking_text(p) for p in result.stuck]
         lines.append(f"stuck submodel ({len(result.stuck)} preferences):")
         lines += [f"  {_ranking_text(p)}" for p in result.stuck]
-    _emit(args, payload, lines)
-    return OK if result.decomposable else NEGATIVE
+    return OK if result.decomposable else NEGATIVE, payload, lines
 
 
-def _cmd_max_basis(args: argparse.Namespace) -> int:
+def _cmd_max_basis(args: argparse.Namespace) -> Result:
     universe = Universe.of_size(args.n)
     diagram = build_diagram(universe, appended=True)
     tree = directed_spanning_tree(diagram)
@@ -184,44 +169,35 @@ def _cmd_max_basis(args: argparse.Namespace) -> int:
     model = Model.of(universe, [pref for pref, _ in basis])
     documents.save_model(model, args.out)
     size = len(basis)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "size": size,
-            "cyclomatic_number": cyclomatic_number(diagram),
-            "out": str(args.out),
-        },
-        [
-            f"built a maximal identified model with {size} preferences "
-            f"(cyclomatic number {cyclomatic_number(diagram)})",
-            f"wrote {args.out}",
-        ],
-    )
-    return OK
+    payload = {
+        "n": args.n,
+        "size": size,
+        "cyclomatic_number": cyclomatic_number(diagram),
+        "out": str(args.out),
+    }
+    return OK, payload, [
+        f"built a maximal identified model with {size} preferences "
+        f"(cyclomatic number {cyclomatic_number(diagram)})",
+        f"wrote {args.out}",
+    ]
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
+def _cmd_extend(args: argparse.Namespace) -> Result:
     seed = documents.load_model(args.model)
     try:
         extended = extend_edge_decomposable(seed)
     except NotEdgeDecomposableError as exc:
-        _emit(args, {"error": str(exc)}, [f"not extended: {exc}"])
-        return NEGATIVE
+        return NEGATIVE, {"error": str(exc)}, [f"not extended: {exc}"]
     documents.save_model(extended, args.out)
-    _emit(
-        args,
-        {"seed_size": len(seed), "size": len(extended), "out": str(args.out)},
-        [
-            f"extended {len(seed)} preferences to an edge decomposable model "
-            f"with {len(extended)}",
-            f"wrote {args.out}",
-        ],
-    )
-    return OK
+    payload = {"seed_size": len(seed), "size": len(extended), "out": str(args.out)}
+    return OK, payload, [
+        f"extended {len(seed)} preferences to an edge decomposable model "
+        f"with {len(extended)}",
+        f"wrote {args.out}",
+    ]
 
 
-def _cmd_mobius(args: argparse.Namespace) -> int:
+def _cmd_mobius(args: argparse.Namespace) -> Result:
     data = documents.load_choice_data(args.data)
     universe = data.rule.universe
     q = mobius_inverse(data.rule)
@@ -248,22 +224,18 @@ def _cmd_mobius(args: argparse.Namespace) -> int:
     if args.check_flow:
         flow = flow_conservation_check(q)
         payload["flow_conservation"] = flow.ok
-        lines.append(
-            "flow conservation: " + ("holds" if flow.ok else "fails")
-        )
-    _emit(args, payload, lines)
-    return OK
+        lines.append("flow conservation: " + ("holds" if flow.ok else "fails"))
+    return OK, payload, lines
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
+def _cmd_recover(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     data = documents.load_choice_data(args.data)
     tolerance = as_fraction(args.tolerance) if args.tolerance else Fraction(0)
     try:
         report = recover_distribution(model, data.rule, tolerance)
     except NotEdgeDecomposableError as exc:
-        _emit(args, {"status": "not-edge-decomposable", "error": str(exc)}, [str(exc)])
-        return NEGATIVE
+        return NEGATIVE, {"status": "not-edge-decomposable", "error": str(exc)}, [str(exc)]
     universe = model.universe
     payload: dict = {
         "status": report.status.value,
@@ -282,11 +254,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             lines.append(f"  {_pair_text(universe, x, mask)}: {diff}")
         if len(report.residual) > 5:
             lines.append(f"  ... and {len(report.residual) - 5} more")
-    _emit(args, payload, lines)
-    return OK if report.status is not RecoveryStatus.FAILED else NEGATIVE
+    return OK if report.status is not RecoveryStatus.FAILED else NEGATIVE, payload, lines
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     dist = documents.load_distribution(args.dist, model=model)
     if args.samples is None:
@@ -299,19 +270,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             sample.rule, args.out, sample.counts, sample.trials, sample.seed
         )
         detail = f"empirical rule from {args.samples} draws per menu (seed {args.seed})"
-    _emit(
-        args,
-        {
-            "out": str(args.out),
-            "menus": (1 << model.universe.n) - 1,
-            "sampled": args.samples is not None,
-        },
-        [f"wrote {detail} to {args.out}"],
-    )
-    return OK
+    payload = {
+        "out": str(args.out),
+        "menus": (1 << model.universe.n) - 1,
+        "sampled": args.samples is not None,
+    }
+    return OK, payload, [f"wrote {detail} to {args.out}"]
 
 
-def _cmd_scrum_max(args: argparse.Namespace) -> int:
+def _cmd_scrum_max(args: argparse.Namespace) -> Result:
     if args.order:
         labels = _parse_order_labels(args.order)
         if len(labels) != args.n:
@@ -324,25 +291,21 @@ def _cmd_scrum_max(args: argparse.Namespace) -> int:
         order = Preference(universe, tuple(range(args.n)))
     model, enumeration = max_scrum_model(order)
     documents.save_model(model, args.out)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "order": [universe.labels[i] for i in order.ranking],
-            "size": len(model),
-            "enumeration": [_ranking_text(p) for p in enumeration],
-            "out": str(args.out),
-        },
-        [
-            f"maximal single-crossing model for order "
-            f"{_ranking_text(order)}: {len(model)} preferences",
-            f"wrote {args.out}",
-        ],
-    )
-    return OK
+    payload = {
+        "n": args.n,
+        "order": [universe.labels[i] for i in order.ranking],
+        "size": len(model),
+        "enumeration": [_ranking_text(p) for p in enumeration],
+        "out": str(args.out),
+    }
+    return OK, payload, [
+        f"maximal single-crossing model for order "
+        f"{_ranking_text(order)}: {len(model)} preferences",
+        f"wrote {args.out}",
+    ]
 
 
-def _cmd_check_single_crossing(args: argparse.Namespace) -> int:
+def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     if args.search_order:
         search = scrum_order_exists(model)
@@ -363,8 +326,7 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> int:
                 f"no order admits a single-crossing enumeration "
                 f"(searched all {search.orders_checked} orders)"
             ]
-        _emit(args, payload, lines)
-        return OK if search.exists else NEGATIVE
+        return OK if search.exists else NEGATIVE, payload, lines
     labels = _parse_order_labels(args.order)
     order = preference_from_labels(model.universe, labels)
     result = check_single_crossing(model, order)
@@ -379,38 +341,31 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> int:
         if result.conflict_prefs:
             a, b = result.conflict_prefs
             lines.append(f"  witnesses: {_ranking_text(a)} and {_ranking_text(b)}")
-    _emit(args, payload, lines)
-    return OK if result.holds else NEGATIVE
+    return OK if result.holds else NEGATIVE, payload, lines
 
 
-def _cmd_latin_square(args: argparse.Namespace) -> int:
+def _cmd_latin_square(args: argparse.Namespace) -> Result:
     labels = _parse_order_labels(args.order)
     universe, order = _order_universe(labels)
     model = latin_square(order)
     documents.save_model(model, args.out)
-    _emit(
-        args,
-        {
-            "order": [universe.labels[i] for i in order.ranking],
-            "size": len(model),
-            "out": str(args.out),
-        },
-        [
-            f"Latin square for order {_ranking_text(order)}: "
-            f"{len(model)} preferences",
-            f"wrote {args.out}",
-        ],
-    )
-    return OK
+    payload = {
+        "order": [universe.labels[i] for i in order.ranking],
+        "size": len(model),
+        "out": str(args.out),
+    }
+    return OK, payload, [
+        f"Latin square for order {_ranking_text(order)}: {len(model)} preferences",
+        f"wrote {args.out}",
+    ]
 
 
-def _cmd_carum_recover(args: argparse.Namespace) -> int:
+def _cmd_carum_recover(args: argparse.Namespace) -> Result:
     data = documents.load_choice_data(args.data)
     try:
         recovery = carum_recover(data.rule)
     except NotCarumError as exc:
-        _emit(args, {"carum": False, "reason": str(exc)}, [f"not a Latin square model: {exc}"])
-        return NEGATIVE
+        return NEGATIVE, {"carum": False, "reason": str(exc)}, [f"not a Latin square model: {exc}"]
     payload = {
         "carum": True,
         "order": [recovery.order.universe.labels[i] for i in recovery.order.ranking],
@@ -421,11 +376,10 @@ def _cmd_carum_recover(args: argparse.Namespace) -> int:
         f"recovered order (up to rotation): {_ranking_text(recovery.order)}",
         f"Latin square model: {len(recovery.model)} preferences",
     ] + _mass_lines(recovery.distribution)
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> Result:
     table = fixtures()
     if args.name not in table:
         raise DocumentError(
@@ -441,12 +395,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         documents.save_distribution(obj, args.out)
         kind = "distribution"
         size = len(obj.entries)
-    _emit(
-        args,
-        {"name": args.name, "kind": kind, "size": size, "out": str(args.out)},
-        [f"wrote {kind} fixture {args.name!r} ({size} entries) to {args.out}"],
-    )
-    return OK
+    payload = {"name": args.name, "kind": kind, "size": size, "out": str(args.out)}
+    return OK, payload, [f"wrote {kind} fixture {args.name!r} ({size} entries) to {args.out}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -543,7 +493,12 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else INPUT_ERROR
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+        else:
+            print("\n".join(lines))
+        return code
     except (RumkitError, OSError, ValueError) as exc:
         # ValueError: e.g. a number past Python's int-to-str digit limit
         print(f"error: {exc}", file=sys.stderr)

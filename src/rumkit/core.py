@@ -15,7 +15,7 @@ from itertools import permutations
 from string import ascii_lowercase
 from typing import Iterable, Iterator
 
-from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchError
+from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchError, shown
 
 DEFAULT_LATTICE_CAP = 20
 DEFAULT_VECTOR_CAP = 12
@@ -64,9 +64,9 @@ class Universe:
         seen = set()
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
-                raise LabelError(f"label {lab!r} is not a nonempty string")
+                raise LabelError(f"label {shown(lab)} is not a nonempty string")
             if lab in seen:
-                raise LabelError(f"duplicate label {lab!r}")
+                raise LabelError(f"duplicate label {shown(lab)}")
             seen.add(lab)
 
     @classmethod
@@ -94,7 +94,7 @@ class Universe:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise LabelError(f"unknown label {label!r}") from None
+            raise LabelError(f"unknown label {shown(label)}") from None
 
     def menu(self, mask: int) -> "Menu":
         return Menu(self, mask)
@@ -104,7 +104,7 @@ class Universe:
         for lab in labels:
             bit = 1 << self.index(lab)
             if mask & bit:
-                raise LabelError(f"duplicate label {lab!r} in menu")
+                raise LabelError(f"duplicate label {shown(lab)} in menu")
             mask |= bit
         return Menu(self, mask)
 
@@ -249,7 +249,7 @@ def preference_from_labels(universe: Universe, labels: Iterable[str]) -> Prefere
     ranking = []
     for lab in labels:
         if lab in seen:
-            raise LabelError(f"duplicate label {lab!r} in ranking")
+            raise LabelError(f"duplicate label {shown(lab)} in ranking")
         seen.add(lab)
         ranking.append(universe.index(lab))
     return Preference(universe, tuple(ranking))

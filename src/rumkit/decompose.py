@@ -49,9 +49,6 @@ class DecompositionWitness:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def reversed(self) -> "DecompositionWitness":
-        return DecompositionWitness(tuple(reversed(self.entries)))
-
 
 @dataclass(frozen=True)
 class DecompositionResult:

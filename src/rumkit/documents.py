@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .core import Model, Universe, contour_pair_keys, preference_from_labels
-from .errors import DocumentError, LabelError, RumkitError
+from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
     PreferenceDistribution,
     RandomChoiceRule,
@@ -59,7 +59,7 @@ def _field_fraction(value: object, where: str) -> Fraction:
             f'quote the value, e.g. "{value}" or a ratio like "1/4"'
         )
     if not isinstance(value, (str, int)):
-        raise DocumentError(f"{where}: expected a rational string, got {value!r}")
+        raise DocumentError(f"{where}: expected a rational string, got {shown(value)}")
     try:
         return as_fraction(value)
     except RumkitError as exc:
@@ -74,11 +74,11 @@ def _expect_version(doc: object, kind: str) -> dict:
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object for a {kind} document")
     if doc.get("kind") != kind:
-        raise DocumentError(f"kind: expected {kind!r}, got {doc.get('kind')!r}")
+        raise DocumentError(f"kind: expected {kind!r}, got {shown(doc.get('kind'))}")
     version = doc.get("version")
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise DocumentError(
-            f"version: expected {FORMAT_VERSION}, got {version!r}"
+            f"version: expected {FORMAT_VERSION}, got {shown(version)}"
         )
     return doc
 
@@ -195,10 +195,10 @@ def parse_choice_data(doc: object) -> ChoiceData:
         raise DocumentError("entries: expected a list")
     trials = doc.get("trials")
     if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int) or trials < 1):
-        raise DocumentError(f"trials: expected a positive integer, got {trials!r}")
+        raise DocumentError(f"trials: expected a positive integer, got {shown(trials)}")
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise DocumentError(f"seed: expected an integer, got {seed!r}")
+        raise DocumentError(f"seed: expected an integer, got {shown(seed)}")
 
     values: dict[tuple[int, int], Fraction] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -226,13 +226,13 @@ def parse_choice_data(doc: object) -> ChoiceData:
         for label in probs:
             if label not in menu_labels:
                 raise DocumentError(
-                    f"{where}.probabilities.{label}: {label!r} is not in the menu"
+                    f"{where}.probabilities.{label}: {shown(label)} is not in the menu"
                 )
         for x in menu.members:
             label = universe.labels[x]
             if label not in probs:
                 raise DocumentError(
-                    f"{where}.probabilities: missing probability for {label!r}"
+                    f"{where}.probabilities: missing probability for {shown(label)}"
                 )
             values[(x, menu.mask)] = _field_fraction(
                 probs[label], f"{where}.probabilities.{label}"
@@ -247,7 +247,7 @@ def parse_choice_data(doc: object) -> ChoiceData:
             for label, c in raw_counts.items():
                 if label not in menu_labels:
                     raise DocumentError(
-                        f"{where}.counts.{label}: {label!r} is not in the menu"
+                        f"{where}.counts.{label}: {shown(label)} is not in the menu"
                     )
                 if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                     raise DocumentError(
@@ -315,7 +315,7 @@ def _ranking_key(labels: tuple[str, ...]) -> str:
     for lab in labels:
         if RANKING_SEPARATOR in lab:
             raise DocumentError(
-                f"label {lab!r} contains {RANKING_SEPARATOR!r} and cannot be "
+                f"label {shown(lab)} contains {RANKING_SEPARATOR!r} and cannot be "
                 f"serialized in a distribution document"
             )
     return RANKING_SEPARATOR.join(labels)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+_SHOWN_CHARS = 40
+
+
+def shown(value: object) -> str:
+    """repr(value) for an error message, cut short so it never echoes a huge input."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}... ({len(text)} chars)"
+
 
 class RumkitError(Exception):
     """Base class for all rumkit errors."""

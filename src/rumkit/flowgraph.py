@@ -64,10 +64,6 @@ class FlowDiagram:
         x, mask = self.pairs[edge_id]
         return (mask, mask ^ (1 << x))
 
-    def contour_pair(self, edge_id: int) -> ContourPair:
-        x, mask = self.pairs[edge_id]
-        return ContourPair(x, Menu(self.universe, mask))
-
     def describe_edge(self, edge_id: int) -> str:
         src, dst = self.edge_endpoints(edge_id)
         u = self.universe

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from .core import (
@@ -189,8 +188,3 @@ def max_identified_size(n: int) -> int:
     if n < 1:
         raise RumkitError(f"n must be >= 1, got {n}")
     return (n - 2) * (1 << (n - 1)) + 2
-
-
-def excluded_preference_ratio(n: int) -> Fraction:
-    """max_identified_size(n) / n!, the admissible fraction of all preferences."""
-    return Fraction(max_identified_size(n), factorial(n))

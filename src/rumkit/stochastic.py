@@ -15,10 +15,12 @@ contour set of x is A.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -29,9 +31,13 @@ from .core import (
     Universe,
     contour_pair_keys,
 )
-from .errors import RumkitError
+from .errors import RumkitError, shown
 
 RationalLike = Union[Fraction, int, str]
+
+# sampling refuses more draws than this (trials x menus): at the 1-3 us a draw
+# measured on a 2-core machine, 10^8 draws already take minutes
+MAX_DRAWS = 10**8
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -39,7 +45,8 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Strings may be rational ("2/3") or exact decimal ("0.25" -> 1/4).
     Exponent notation ("1e-3") is rejected: Fraction expands the power of ten
-    exactly, so a large exponent would stall.
+    exactly, so a large exponent would stall. So is a digit run past Python's
+    int-to-str limit, which int() refuses; the error does not echo the value.
     """
     if isinstance(value, bool):
         raise RumkitError(f"{value!r} is not a number")
@@ -52,14 +59,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if re.search(r"[eE][-+]?\d", value):
             raise RumkitError(
-                f"exponent notation {value!r} rejected: write the value as a "
+                f"exponent notation {shown(value)} rejected: write the value as a "
                 "decimal or a ratio like '1/1000'"
+            )
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < len(value) and any(
+            len(run) - run.count("_") > limit for run in re.findall(r"[\d_]+", value)
+        ):
+            raise RumkitError(
+                f"cannot parse rational: an integer has more than {limit} digits"
             )
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RumkitError(f"cannot parse rational {value!r}: {exc}") from None
-    raise RumkitError(f"cannot interpret {value!r} as an exact rational")
+        except (ValueError, ZeroDivisionError):
+            # both exceptions' own texts repeat the whole value
+            raise RumkitError(f"cannot parse rational {shown(value)}") from None
+    raise RumkitError(f"cannot interpret {shown(value)} as an exact rational")
 
 
 def _canonical_table(
@@ -345,11 +360,17 @@ def sample_empirical_rule(
 
     Menus are visited in ascending bitmask order and draws are made with an
     integer-threshold inverse-CDF, so output is deterministic given the seed
-    and exact as a frequency table (count / trials).
+    and exact as a frequency table (count / trials). More than MAX_DRAWS
+    draws in all (trials per menu times 2^n - 1 menus) are refused.
     """
     if trials < 1:
         raise RumkitError(f"trials must be >= 1, got {trials}")
     universe = dist.universe
+    if trials * universe.full_mask > MAX_DRAWS:
+        raise RumkitError(
+            f"{trials} draws per menu over {universe.full_mask} menus is more "
+            f"than {MAX_DRAWS} draws"
+        )
     rng = random.Random(seed)
     prefs = [pref for pref, _ in dist.entries]
     weights = [m for _, m in dist.entries]
@@ -367,10 +388,7 @@ def sample_empirical_rule(
         menu_counts: dict[int, int] = {}
         for _ in range(trials):
             draw = rng.randrange(denom)
-            pick = 0
-            while thresholds[pick] <= draw:
-                pick += 1
-            best = prefs[pick].best_in(mask)
+            best = prefs[bisect.bisect_right(thresholds, draw)].best_in(mask)
             menu_counts[best] = menu_counts.get(best, 0) + 1
         for x, c in menu_counts.items():
             counts[(x, mask)] = c

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rumkit
 from rumkit import (
     Model,
     PreferenceDistribution,
@@ -93,6 +97,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: invalid JSON: an integer has more than 4300 digits\n"
 
+    def test_over_long_values_are_not_echoed(self, capsys, tmp_path):
+        huge = "9" * 5000
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(
+            {"kind": "model", "version": 1, "alternatives": ["a", "b"],
+             "preferences": [["a", "b"]]}
+        ), encoding="utf-8")
+        dist = tmp_path / "nu.json"
+        dist.write_text(json.dumps(
+            {"kind": "distribution", "version": 1, "alternatives": ["a", "b"],
+             "masses": {"a>b": huge}}
+        ), encoding="utf-8")
+        code, out, err = run(
+            capsys, "generate", "--model", str(model), "--dist", str(dist),
+            "--out", str(tmp_path / "d.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: masses.a>b: cannot parse rational: an integer has more than 4300 digits\n"
+        )
+        model.write_text(json.dumps(
+            {"kind": "model", "version": 1, "alternatives": ["a", "b"],
+             "preferences": [["a", huge]]}
+        ), encoding="utf-8")
+        code, out, err = run(capsys, "check-identified", "--model", str(model))
+        assert code == 2 and out == ""
+        assert err == f"error: preferences[0]: unknown label '{'9' * 39}... (5002 chars)\n"
+
     def test_not_identified_is_exit_one(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"
         assert run(capsys, "fixtures", "--name", "fishburn", "--out", str(fixture))[0] == 0
@@ -101,10 +133,55 @@ class TestExitCodes:
         assert "identified: no" in out
         assert "nu'" in out
 
+    def test_too_many_draws_refused_at_once(self, capsys, tmp_path):
+        fixture, nu = tmp_path / "fishburn.json", tmp_path / "nu1.json"
+        run(capsys, "fixtures", "--name", "fishburn", "--out", str(fixture))
+        run(capsys, "fixtures", "--name", "fishburn-nu1", "--out", str(nu))
+        code, out, err = run(
+            capsys, "generate", "--model", str(fixture), "--dist", str(nu),
+            "--out", str(tmp_path / "d.json"), "--samples", "1000000000",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: 1000000000 draws per menu over 15 menus is more than 100000000 draws\n"
+        )
+        assert not (tmp_path / "d.json").exists()
+
+    def test_failed_write_to_stdout_is_input_error(self, capsys, monkeypatch):
+        class BrokenStdout(io.StringIO):
+            def write(self, text):
+                raise OSError("stdout closed")
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = main(["bound", "-n", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: stdout closed\n"
+
     def test_unknown_fixture(self, capsys, tmp_path):
         code, _, err = run(capsys, "fixtures", "--name", "nope", "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "available" in err
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_module_entrypoint_in_a_subprocess(flag):
+    src = str(Path(rumkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "rumkit.cli", "bound", "-n", "4", *flag],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    if flag:
+        assert json.loads(done.stdout) == {
+            "n": 4, "bound": 18, "total_preferences": 24,
+            "ratio": "18/24", "ratio_reduced": "3/4",
+        }
+    else:
+        assert done.stdout == (
+            "n: 4\nmax identified model size: 18\ntotal preferences: 24\n"
+            "ratio: 18/24 (= 3/4)\n"
+        )
 
 
 class TestMaxBasisPipeline:
@@ -326,6 +403,7 @@ _HOSTILE = st.one_of(
     st.sampled_from([
         "1e100000000", "1E-99999999", "2.5e+3", _HUGE, True, None, 0.5, "",
         "1/0", "-1/2", "0.25", "1/3", "a", [], {}, ["a"], [["a"]], {"a": "1"},
+        "9" * 5000,
     ]),
     st.integers(-2, 3),
     st.text(max_size=4),
@@ -408,3 +486,4 @@ def test_cli_exit_contract_on_hostile_documents(docs, command):
     assert "Traceback" not in stderr.getvalue()
     if code == 2:
         assert stderr.getvalue().count("\n") == 1
+        assert len(stderr.getvalue()) < 300

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -42,6 +44,7 @@ from rumkit import (
     validate_rcr,
     verify_contour_mass_identity,
 )
+from rumkit.stochastic import MAX_DRAWS
 
 U2 = Universe(("x", "y"))
 U3 = Universe(("x", "y", "z"))
@@ -81,6 +84,12 @@ class TestAsFraction:
     def test_exponent_rejected(self, text):
         with pytest.raises(RumkitError, match=re.escape(f"exponent notation {text!r}")):
             as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["9" * 5000, "0." + "9" * 5000, "1/" + "9" * 5000])
+    def test_over_long_integer_rejected_without_echo(self, text):
+        with pytest.raises(RumkitError) as info:
+            as_fraction(text)
+        assert str(info.value) == "cannot parse rational: an integer has more than 4300 digits"
 
 
 class TestRuleFromDistribution:
@@ -231,6 +240,11 @@ class TestContourMassIdentity:
                 assert verify_contour_mass_identity(random_distribution(rng, m))
 
 
+def max_basis(n: int) -> Model:
+    d = build_diagram(Universe.of_size(n))
+    return Model.of(d.universe, [p for p, _ in preference_basis(directed_spanning_tree(d), d)])
+
+
 class TestTransformOracles:
     """The transforms against the independent oracles in conftest.
 
@@ -239,16 +253,11 @@ class TestTransformOracles:
     independent check of the contour-mass identity.
     """
 
-    @staticmethod
-    def max_basis(n: int) -> Model:
-        d = build_diagram(Universe.of_size(n))
-        return Model.of(d.universe, [p for p, _ in preference_basis(directed_spanning_tree(d), d)])
-
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_transforms_match_oracles(self, rng, n):
         u = Universe.of_size(n)
         if n == 6:
-            models = [self.max_basis(n)] * 2
+            models = [max_basis(n)] * 2
         else:
             models = [random_model(rng, u, rng.randrange(1, 10)) for _ in range(6)]
         for model in models:
@@ -325,3 +334,36 @@ class TestSampling:
             per_menu[mask] = per_menu.get(mask, 0) + c
         assert set(per_menu.values()) == {64}
         assert validate_rcr(sample.rule)
+
+    def test_counts_match_linear_scan_oracle(self, rng):
+        nu = random_distribution(rng, max_basis(6))
+        sample = sample_empirical_rule(nu, trials=40, seed=7)
+        assert sample.counts == linear_scan_counts(nu, trials=40, seed=7)
+
+    def test_draw_cap_refused_before_drawing(self):
+        nu1, _ = fishburn_distributions()  # 4 alternatives, 15 menus
+        assert MAX_DRAWS == 10**8
+        with pytest.raises(RumkitError, match="more than 100000000 draws"):
+            sample_empirical_rule(nu1, trials=MAX_DRAWS // 15 + 1, seed=0)
+        with pytest.raises(RumkitError, match="more than 100000000 draws"):
+            sample_empirical_rule(nu1, trials=10**9, seed=0)
+
+
+def linear_scan_counts(
+    dist: PreferenceDistribution, trials: int, seed: int
+) -> dict[tuple[int, int], int]:
+    """Oracle: the sampler's draws, each picked by a linear threshold scan."""
+    rng = random.Random(seed)
+    denom = lcm(*(m.denominator for _, m in dist.entries))
+    counts: dict[tuple[int, int], int] = {}
+    for mask in range(1, dist.universe.full_mask + 1):
+        for _ in range(trials):
+            draw = rng.randrange(denom)
+            acc = 0
+            for pref, m in dist.entries:
+                acc += int(m * denom)
+                if draw < acc:
+                    break
+            key = (pref.best_in(mask), mask)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
