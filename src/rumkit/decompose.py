@@ -21,14 +21,13 @@ from .core import (
     Model,
     Preference,
     bits_of,
-    contour_pair_keys,
 )
 from .errors import NotEdgeDecomposableError, RumkitError, WitnessError
 from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
-    _contour_mass,
+    _lattice,
     _superset_transform,
     as_fraction,
     mobius_inverse,
@@ -183,35 +182,43 @@ def recover_distribution(
             f"model is not edge decomposable; stuck on {len(dec.stuck)} preferences"
         )
 
-    # assigned[(x, A)]: mass peeled so far onto pair (x, A); once the peel is
-    # done it is the Mobius inverse the recovered masses reconstruct
-    n = model.universe.n
-    assigned = _contour_mass(n, ())
-    masses: dict[Preference, Fraction] = {}
+    # assigned[i]: numerator, over q's denominator, of the mass peeled so far
+    # onto pair i; once the peel is done it is the Mobius inverse the
+    # recovered masses reconstruct
+    lattice = _lattice(model.universe.n)
+    index = lattice.index
+    given = q.numerators
+    assigned = [0] * len(given)
+    peeled: dict[Preference, int] = {}
     for pref, pair in dec.witness:
-        value = q.value(pair.x, pair.mask) - assigned[pair.key]
-        masses[pref] = value
+        i = index[pair.key]
+        value = given[i] - assigned[i]
+        peeled[pref] = value
         for key in pref.contour_keys():
-            assigned[key] += value
+            assigned[index[key]] += value
 
-    # compare in the input's own representation
+    # compare in the input's own representation; mobius_inverse keeps the
+    # rule's denominator, so data and q share one
     if isinstance(data, RandomChoiceRule):
-        _superset_transform(assigned, n, 1)
+        assigned = _superset_transform(lattice, assigned, 1)
+    denominator = q.denominator
     residual = []
-    worst = Fraction(0)
-    for key, rebuilt in assigned.items():
-        diff = data[key] - rebuilt
-        if diff != 0:
-            residual.append((key, diff))
+    worst = 0
+    for key, entry, rebuilt in zip(lattice.keys, data.numerators, assigned):
+        diff = entry - rebuilt
+        if diff:
+            residual.append((key, Fraction(diff, denominator)))
             worst = max(worst, abs(diff))
 
-    ordered = tuple(sorted(masses.items(), key=lambda item: item[0].ranking))
-    valid_range = all(0 <= m <= 1 for _, m in ordered)
-    total = sum((m for _, m in ordered), Fraction(0))
-    if not residual and valid_range and total == 1:
-        dist = PreferenceDistribution(model, masses)
+    ordered = tuple(
+        (pref, Fraction(value, denominator))
+        for pref, value in sorted(peeled.items(), key=lambda item: item[0].ranking)
+    )
+    valid_range = all(0 <= value <= denominator for value in peeled.values())
+    if not residual and valid_range and sum(peeled.values()) == denominator:
+        dist = PreferenceDistribution(model, dict(ordered))
         return RecoveryReport(RecoveryStatus.EXACT, ordered, (), dist, tol)
-    if valid_range and worst <= tol and tol > 0:
+    if valid_range and Fraction(worst, denominator) <= tol and tol > 0:
         return RecoveryReport(
             RecoveryStatus.APPROXIMATE, ordered, tuple(residual), None, tol
         )
@@ -228,15 +235,16 @@ def extend_edge_decomposable(seed: Model) -> Model:
     (the new preference is removable first), so the result is a decomposable
     superset of the seed, maximal under this construction.
     """
+    universe = seed.universe
+    lattice = _lattice(universe.n)
     if not is_edge_decomposable(seed):
         raise NotEdgeDecomposableError("seed model is not edge decomposable")
-    universe = seed.universe
     full = universe.full_mask
     prefs = list(seed.preferences)
     covered = {key for pref in prefs for key in pref.contour_keys()}
     # covered only grows and each addition covers its own target, so one
     # pass in canonical order finds every target a rescan from the start would
-    for key in contour_pair_keys(universe.n):
+    for key in lattice.keys:
         if key in covered:
             continue
         x, mask = key

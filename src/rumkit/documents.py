@@ -15,11 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import Model, Universe, contour_pair_keys, preference_from_labels
+from .core import Model, Universe, contour_pair_index, preference_from_labels
 from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
     PreferenceDistribution,
     RandomChoiceRule,
+    _lattice,
     as_fraction,
     validate_rcr,
 )
@@ -151,11 +152,14 @@ def dump_choice_data(
     seed: int | None = None,
 ) -> dict:
     universe = rule.universe
+    index = contour_pair_index(universe.n)
     entries = []
     for mask in range(1, universe.full_mask + 1):
         menu = universe.menu(mask)
         probabilities = {
-            universe.labels[x]: _format_fraction(rule.value(x, mask))
+            universe.labels[x]: str(
+                Fraction(rule.numerators[index[(x, mask)]], rule.denominator)
+            )
             for x in menu.members
         }
         entry: dict[str, object] = {
@@ -268,7 +272,7 @@ def parse_choice_data(doc: object) -> ChoiceData:
                         f"probability {values[(x, menu.mask)]}"
                     )
 
-    missing = [key for key in contour_pair_keys(universe.n) if key not in values]
+    missing = [key for key in _lattice(universe.n).keys if key not in values]
     if missing:
         x, mask = missing[0]
         raise DocumentError(

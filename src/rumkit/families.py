@@ -15,6 +15,7 @@ from .core import (
     Model,
     Preference,
     Universe,
+    contour_pair_index,
     preference_from_labels,
     require_same_universe,
 )
@@ -232,20 +233,28 @@ def carum_recover(rule: RandomChoiceRule) -> CarumRecovery:
     n = universe.n
     full = universe.full_mask
     q = mobius_inverse(rule)
+    index = contour_pair_index(n)
+
+    def positive_at(mask: int) -> list[int]:
+        # q's denominator is positive, so a numerator carries the sign
+        return [
+            x for x in range(n) if mask >> x & 1 and q.numerators[index[(x, mask)]] > 0
+        ]
+
     for mask in range(1, full):
-        positive = [x for x in range(n) if mask >> x & 1 and q.value(x, mask) > 0]
+        positive = positive_at(mask)
         if len(positive) > 1:
             raise NotCarumError(
                 f"menu {universe.describe_mask(mask)} has "
                 f"{len(positive)} positive Mobius entries; a Latin square allows one"
             )
-    starts = [x for x in range(n) if q.value(x, full) > 0]
+    starts = positive_at(full)
     if not starts:
         raise NotCarumError("no alternative has positive Mobius mass at the full menu")
     ranking = [starts[0]]
     mask = full ^ (1 << starts[0])
     while mask:
-        nxt = [x for x in range(n) if mask >> x & 1 and q.value(x, mask) > 0]
+        nxt = positive_at(mask)
         if not nxt:
             raise NotCarumError(
                 f"positive path dies at menu {universe.describe_mask(mask)}"

@@ -26,6 +26,7 @@ from .errors import RumkitError
 from .stochastic import (
     PreferenceDistribution,
     _contour_mass,
+    _lattice,
     _superset_transform,
     rcr_from_distribution,
 )
@@ -51,9 +52,9 @@ def rule_vector(pref: Preference) -> tuple[int, ...]:
     """
     n = pref.universe.n
     require_vector_cap(n)
-    table = _contour_mass(n, ((pref, 1),))
-    _superset_transform(table, n, 1)
-    return tuple(table.values())
+    lattice = _lattice(n)
+    numerators, _ = _contour_mass(lattice, ((pref, 1),))
+    return tuple(_superset_transform(lattice, numerators, 1))
 
 
 def _eliminate(

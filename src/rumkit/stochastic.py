@@ -1,12 +1,15 @@
 """Random choice rules, preference distributions, and the Mobius inverse.
 
-All probability arithmetic is exact: values are fractions.Fraction throughout
-and nothing is ever rounded. Floating-point inputs are rejected because the
-identification questions downstream are exact statements.
+All probability arithmetic is exact and nothing is ever rounded.
+Floating-point inputs are rejected because the identification questions
+downstream are exact statements. A table over the pair lattice (a rule p or
+its Mobius inverse q) is stored as integer numerators in canonical
+contour-pair order over one denominator; Fractions are made only at the API
+edge, when a caller reads an entry. Distribution masses are Fractions.
 
 Every sum over supersets goes through one kernel, _superset_transform: Yates's
 per-coordinate transform on the subset lattice of each alternative, n(n-1)
-2^(n-2) exact additions per call. The rule induced by a distribution is its
+2^(n-2) integer additions per call. The rule induced by a distribution is its
 contour-class mass (each preference's mass on its n upper-contour pairs) run
 through the forward transform; the Mobius inverse runs it backwards, which is
 the paper's identity q(x, A) = mass of the preferences whose weak lower
@@ -23,13 +26,17 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Union
 
 from .core import (
     Model,
     Preference,
     Universe,
+    contour_pair_index,
     contour_pair_keys,
+    require_lattice_cap,
 )
 from .errors import RumkitError, shown
 
@@ -77,47 +84,115 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise RumkitError(f"cannot interpret {shown(value)} as an exact rational")
 
 
-def _canonical_table(
-    universe: Universe, values: Mapping[tuple[int, int], RationalLike]
-) -> dict[tuple[int, int], Fraction]:
-    keys = contour_pair_keys(universe.n)
-    missing = [k for k in keys if k not in values]
-    if missing:
-        x, mask = missing[0]
-        raise RumkitError(
-            f"value table is missing {len(missing)} pairs, first "
-            f"({universe.labels[x]}, {universe.describe_mask(mask)})"
-        )
-    if len(values) != len(keys):
-        extra = next(k for k in values if k not in set(keys))
-        raise RumkitError(f"value table has an entry off the lattice: {extra}")
-    return {key: as_fraction(values[key]) for key in keys}
+@dataclass(frozen=True)
+class _Lattice:
+    """The coordinate tables of the pair lattice on n alternatives.
+
+    keys and index are the canonical contour-pair coordinates. to_major and
+    to_canonical are gathers between canonical order and alternative-major
+    order, where x's 2^(n-1) pairs sit in one block indexed by A minus x with
+    bit x squeezed out: each block is the subset lattice the superset
+    transform runs on.
+    """
+
+    n: int
+    keys: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+    to_major: Callable
+    to_canonical: Callable
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=None)
+def _build_lattice(n: int) -> _Lattice:
+    keys = contour_pair_keys(n)
+    index = contour_pair_index(n)
+    # the int objects index already holds, so the gathers add only pointers
+    coords = list(index.values())
+    block = 1 << (n - 1)
+    major = [0] * len(keys)
+    for i, (x, mask) in enumerate(keys):
+        rest = mask ^ (1 << x)
+        major[x * block + (rest & ((1 << x) - 1) | rest >> (x + 1) << x)] = coords[i]
+    canonical = [0] * len(keys)
+    for slot, i in enumerate(major):
+        canonical[i] = coords[slot]
+    return _Lattice(n, keys, index, itemgetter(*major), itemgetter(*canonical))
+
+
+def _lattice(n: int) -> _Lattice:
+    """The coordinate tables for n, refused past the lattice cap before any
+    allocation."""
+    require_lattice_cap(n)
+    return _build_lattice(n)
+
+
+@dataclass(frozen=True, init=False)
 class _PairTable:
-    """Exact-rational map defined on every (x, A) with x in A, A nonempty."""
+    """Exact-rational map defined on every (x, A) with x in A, A nonempty.
+
+    Stored as integer numerators in canonical coordinate order over one
+    positive denominator, reduced so that the numerators and the denominator
+    share no factor: equal tables have equal fields. Fractions are made only
+    at the API edge (value, [], items, values); the library reads numerators.
+    """
 
     universe: Universe
-    values: dict[tuple[int, int], Fraction]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _canonical_table(self.universe, self.values))
+    def __init__(
+        self, universe: Universe, values: Mapping[tuple[int, int], RationalLike]
+    ) -> None:
+        lattice = _lattice(universe.n)
+        missing = [k for k in lattice.keys if k not in values]
+        if missing:
+            x, mask = missing[0]
+            raise RumkitError(
+                f"value table is missing {len(missing)} pairs, first "
+                f"({universe.labels[x]}, {universe.describe_mask(mask)})"
+            )
+        if len(values) != len(lattice.keys):
+            extra = next(k for k in values if k not in lattice.index)
+            raise RumkitError(f"value table has an entry off the lattice: {extra}")
+        fractions = [as_fraction(values[k]) for k in lattice.keys]
+        # over the lcm of reduced fractions' denominators the numerators share
+        # no factor with it: a prime of the lcm misses the numerator of the
+        # entry whose denominator holds its highest power
+        denominator = math.lcm(*(f.denominator for f in fractions))
+        numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
+        self._set(universe, numerators, denominator)
+
+    @classmethod
+    def _of(cls, universe: Universe, numerators, denominator: int):
+        """The table numerators / denominator, in canonical order, unchecked:
+        the caller guarantees a positive denominator whose gcd with all the
+        numerators is 1."""
+        table = object.__new__(cls)
+        table._set(universe, numerators, denominator)
+        return table
+
+    def _set(self, universe: Universe, numerators, denominator: int) -> None:
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.values[key]
+        index = contour_pair_index(self.universe.n)
+        return Fraction(self.numerators[index[key]], self.denominator)
 
     def value(self, x: int, mask: int) -> Fraction:
-        return self.values[(x, mask)]
+        return self[(x, mask)]
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Entries in canonical coordinate order."""
-        return iter(self.values.items())
+        d = self.denominator
+        keys = contour_pair_keys(self.universe.n)
+        return ((key, Fraction(v, d)) for key, v in zip(keys, self.numerators))
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.universe == other.universe and self.values == other.values
+    @property
+    def values(self) -> dict[tuple[int, int], Fraction]:
+        """Every entry as a Fraction, in canonical coordinate order."""
+        return dict(self.items())
 
 
 class RandomChoiceRule(_PairTable):
@@ -187,37 +262,63 @@ def point_mass(model: Model, pref: Preference) -> PreferenceDistribution:
     return PreferenceDistribution(model, {pref: Fraction(1)})
 
 
-def _superset_transform(table: dict, n: int, sign: int) -> None:
-    """In place, t(x, A) becomes the sum of sign^|B \\ A| * t(x, B) over B >= A.
+def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
+    """numerators / denominator with their common factor divided out."""
+    common = math.gcd(denominator, *numerators)
+    if common == 1:
+        return numerators, denominator
+    return [v // common for v in numerators], denominator // common
 
-    One pass per alternative y adds sign * t(x, A | y) to every t(x, A) with y
-    outside A (so y != x); the n passes compose to the full superset sum. Each
-    pass reads only entries it does not write, so the order within a pass is
-    free. sign +1 is the forward (zeta) transform, -1 the Mobius inverse.
+
+def _superset_transform(lattice: _Lattice, numerators, sign: int) -> list[int]:
+    """t(x, A) becomes the sum of sign^|B \\ A| * t(x, B) over B >= A.
+
+    Takes and returns numerators in canonical order; the denominator is
+    untouched, and so is the common factor of the numerators (the transform
+    and its inverse have integer matrices), so a reduced table stays reduced
+    and needs no gcd. In alternative-major order every x's pairs form a subset
+    lattice of n-1 bits, and one pass per bit b adds sign * t(x, A | b) to
+    every t(x, A) with b outside A; the n-1 passes compose to the full
+    superset sum. Each pass reads only entries it does not write, so it runs
+    as slice arithmetic: n(n-1) 2^(n-2) integer additions and no hashing.
+    sign +1 is the forward (zeta) transform, -1 the Mobius inverse.
     """
+    n = lattice.n
+    if n == 1:
+        # one pair, its own superset sum (and a one-index gather is no tuple)
+        return list(numerators)
     step = operator.add if sign > 0 else operator.sub
-    keys = contour_pair_keys(n)
-    for y in range(n):
-        bit = 1 << y
-        for key in keys:
-            x, mask = key
-            if not mask & bit:
-                above = table[(x, mask | bit)]
-                if above:
-                    table[key] = step(table[key], above)
+    t = list(lattice.to_major(numerators))
+    size = len(t)
+    for b in range(n - 1):
+        low = 1 << b
+        span = low << 1
+        if size // span <= low:
+            # few long runs: t[s:s+low] += t[s+low:s+span] per run
+            for s in range(0, size, span):
+                t[s : s + low] = map(step, t[s : s + low], t[s + low : s + span])
+        else:
+            # many short runs: one strided slice per offset inside a run
+            for r in range(low):
+                t[r::span] = map(step, t[r::span], t[r + low :: span])
+    return list(lattice.to_canonical(t))
 
 
-def _contour_mass(n: int, entries) -> dict:
+def _contour_mass(lattice: _Lattice, entries) -> tuple[list[int], int]:
     """Each preference's mass placed on its n upper-contour pairs.
 
-    The result is a table over every (x, A) in canonical order; entry (x, A)
-    holds the mass of the preferences whose weak lower contour set of x is A.
+    Returns reduced numerators in canonical order and their denominator;
+    entry (x, A) holds the mass of the preferences whose weak lower contour
+    set of x is A.
     """
-    table = dict.fromkeys(contour_pair_keys(n), 0)
+    denominator = math.lcm(*(mass.denominator for _, mass in entries))
+    numerators = [0] * len(lattice.keys)
+    index = lattice.index
     for pref, mass in entries:
+        share = mass.numerator * (denominator // mass.denominator)
         for key in pref.contour_keys():
-            table[key] += mass
-    return table
+            numerators[index[key]] += share
+    return _reduced(numerators, denominator)
 
 
 def rcr_from_distribution(dist: PreferenceDistribution) -> RandomChoiceRule:
@@ -227,9 +328,11 @@ def rcr_from_distribution(dist: PreferenceDistribution) -> RandomChoiceRule:
     the rule is the superset sum of the contour-class masses.
     """
     universe = dist.universe
-    table = _contour_mass(universe.n, dist.entries)
-    _superset_transform(table, universe.n, 1)
-    return RandomChoiceRule(universe, table)
+    lattice = _lattice(universe.n)
+    numerators, denominator = _contour_mass(lattice, dist.entries)
+    return RandomChoiceRule._of(
+        universe, _superset_transform(lattice, numerators, 1), denominator
+    )
 
 
 @dataclass(frozen=True)
@@ -245,12 +348,14 @@ class RuleValidation:
 def validate_rcr(rule: RandomChoiceRule) -> RuleValidation:
     """Check nonnegativity and unit menu sums; report every violation."""
     negative = []
-    sums: dict[int, Fraction] = {}
-    for (x, mask), value in rule.items():
-        if value < 0:
+    sums: dict[int, int] = {}
+    keys = contour_pair_keys(rule.universe.n)
+    for (x, mask), v in zip(keys, rule.numerators):
+        if v < 0:
             negative.append((x, mask))
-        sums[mask] = sums.get(mask, Fraction(0)) + value
-    bad = [(mask, total) for mask, total in sorted(sums.items()) if total != 1]
+        sums[mask] = sums.get(mask, 0) + v
+    d = rule.denominator
+    bad = [(mask, Fraction(total, d)) for mask, total in sorted(sums.items()) if total != d]
     return RuleValidation(not negative and not bad, tuple(negative), tuple(bad))
 
 
@@ -258,24 +363,23 @@ def mobius_inverse(rule: RandomChoiceRule) -> MobiusInverse:
     """q(x, A) = sum over B >= A of (-1)^|B \\ A| p(x, B).
 
     Equivalently q(x, A) = p(x, A) minus q(x, B) over strict supersets B.
-    Computed by the superset transform with sign -1: n(n-1) 2^(n-2) exact
-    subtractions, skipping zero entries.
+    Computed on the rule's numerators by the superset transform with sign
+    -1 (n(n-1) 2^(n-2) integer subtractions), over the rule's denominator.
     """
-    universe = rule.universe
-    table = dict(rule.values)
-    _superset_transform(table, universe.n, -1)
-    return MobiusInverse(universe, table)
+    lattice = _lattice(rule.universe.n)
+    numerators = _superset_transform(lattice, rule.numerators, -1)
+    return MobiusInverse._of(rule.universe, numerators, rule.denominator)
 
 
 def mobius_forward(q: MobiusInverse) -> RandomChoiceRule:
     """Invert the transform: p(x, A) = sum of q(x, B) over supersets B >= A.
 
-    The superset transform with sign +1: n(n-1) 2^(n-2) exact additions.
+    The superset transform with sign +1 on q's numerators: n(n-1) 2^(n-2)
+    integer additions, over q's denominator.
     """
-    universe = q.universe
-    table = dict(q.values)
-    _superset_transform(table, universe.n, 1)
-    return RandomChoiceRule(universe, table)
+    lattice = _lattice(q.universe.n)
+    numerators = _superset_transform(lattice, q.numerators, 1)
+    return RandomChoiceRule._of(q.universe, numerators, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -293,7 +397,8 @@ def check_stochastic_rationality_necessary(q: MobiusInverse) -> NonnegativityChe
     This is only the necessary half of stochastic rationality; it is not a
     full rationalizability test.
     """
-    negative = tuple(key for key, value in q.items() if value < 0)
+    keys = contour_pair_keys(q.universe.n)
+    negative = tuple(key for key, v in zip(keys, q.numerators) if v < 0)
     return NonnegativityCheck(not negative, negative)
 
 
@@ -316,21 +421,24 @@ def flow_conservation_check(q: MobiusInverse) -> FlowCheck:
     universe = q.universe
     n = universe.n
     full = universe.full_mask
-    out: dict[int, Fraction] = {mask: Fraction(0) for mask in range(1, full + 1)}
-    for (x, mask), value in q.items():
-        out[mask] += value
+    lattice = _lattice(n)
+    numerators = q.numerators
+    out = dict.fromkeys(range(1, full + 1), 0)
+    for (x, mask), v in zip(lattice.keys, numerators):
+        out[mask] += v
+    index = lattice.index
     bad = []
     for mask in range(1, full):
-        inflow = Fraction(0)
+        inflow = 0
         for y in range(n):
             if not mask >> y & 1:
-                inflow += q.value(y, mask | (1 << y))
+                inflow += numerators[index[(y, mask | (1 << y))]]
         if out[mask] != inflow:
             bad.append(mask)
     total = out[full]
-    if total != 1:
+    if total != q.denominator:
         bad.append(full)
-    return FlowCheck(not bad, tuple(bad), total)
+    return FlowCheck(not bad, tuple(bad), Fraction(total, q.denominator))
 
 
 def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
@@ -340,7 +448,8 @@ def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
     of supported preferences whose weak lower contour set of x is exactly A.
     """
     q = mobius_inverse(rcr_from_distribution(dist))
-    return q.values == _contour_mass(dist.universe.n, dist.entries)
+    mass = _contour_mass(_lattice(dist.universe.n), dist.entries)
+    return q == MobiusInverse._of(dist.universe, *mass)
 
 
 @dataclass(frozen=True)
@@ -380,10 +489,9 @@ def sample_empirical_rule(
     for w in weights:
         acc += int(w * denom)
         thresholds.append(acc)
+    index = _lattice(universe.n).index
     counts: dict[tuple[int, int], int] = {}
-    values: dict[tuple[int, int], Fraction] = {
-        key: Fraction(0) for key in contour_pair_keys(universe.n)
-    }
+    numerators = [0] * len(index)
     for mask in range(1, universe.full_mask + 1):
         menu_counts: dict[int, int] = {}
         for _ in range(trials):
@@ -392,5 +500,6 @@ def sample_empirical_rule(
             menu_counts[best] = menu_counts.get(best, 0) + 1
         for x, c in menu_counts.items():
             counts[(x, mask)] = c
-            values[(x, mask)] = Fraction(c, trials)
-    return EmpiricalSample(RandomChoiceRule(universe, values), counts, trials, seed)
+            numerators[index[(x, mask)]] = c
+    rule = RandomChoiceRule._of(universe, *_reduced(numerators, trials))
+    return EmpiricalSample(rule, counts, trials, seed)

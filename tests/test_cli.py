@@ -24,6 +24,7 @@ from rumkit import (
     rcr_from_distribution,
 )
 from rumkit.cli import main
+from rumkit.core import CAP_ENV_VAR
 from rumkit.documents import (
     dump_choice_data,
     dump_distribution,
@@ -124,6 +125,39 @@ class TestExitCodes:
         code, out, err = run(capsys, "check-identified", "--model", str(model))
         assert code == 2 and out == ""
         assert err == f"error: preferences[0]: unknown label '{'9' * 39}... (5002 chars)\n"
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "extend", "mobius", "recover", "carum-recover"]
+    )
+    def test_lattice_commands_refused_past_the_cap(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # n=21 has 22 million pairs: the cap must refuse before allocating them
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        labels = list(Universe.of_size(21).labels)
+        files = {"m": tmp_path / "m.json", "nu": tmp_path / "nu.json", "d": tmp_path / "d.json"}
+        files["m"].write_text(json.dumps(
+            {"kind": "model", "version": 1, "alternatives": labels, "preferences": [labels]}
+        ), encoding="utf-8")
+        files["nu"].write_text(json.dumps(
+            {"kind": "distribution", "version": 1, "alternatives": labels,
+             "masses": {">".join(labels): "1"}}
+        ), encoding="utf-8")
+        files["d"].write_text(json.dumps(
+            {"kind": "choice-data", "version": 1, "alternatives": labels, "entries": []}
+        ), encoding="utf-8")
+        out_path = str(tmp_path / "out.json")
+        argv = {
+            "generate": ["--model", str(files["m"]), "--dist", str(files["nu"]), "--out", out_path],
+            "extend": ["--model", str(files["m"]), "--out", out_path],
+            "mobius": ["--data", str(files["d"])],
+            "recover": ["--model", str(files["m"]), "--data", str(files["d"])],
+            "carum-recover": ["--data", str(files["d"])],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: n=21 exceeds the lattice cap of 20; set RUMKIT_MAX_N to override\n"
+        assert not Path(out_path).exists()
 
     def test_not_identified_is_exit_one(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     alternating_sum_mobius,
@@ -30,6 +32,7 @@ from rumkit import (
     check_stochastic_rationality_necessary,
     contour_pair_keys,
     directed_spanning_tree,
+    double_cover_model,
     fishburn_distributions,
     flow_conservation_check,
     in_contour_class,
@@ -113,6 +116,17 @@ class TestRuleFromDistribution:
         assert len(list(r1.items())) == 32
         assert r1 == r2
 
+    def test_placement_with_a_common_factor_is_reduced(self):
+        # every used pair of the double cover carries two of its eight
+        # preferences, so uniform masses place 2/8 on each: the rule and the
+        # contour mass must be stored over 4 to equal tables built from values
+        model = double_cover_model()
+        nu = PreferenceDistribution(model, {p: Fraction(1, 8) for p in model})
+        rule = rcr_from_distribution(nu)
+        assert rule == RandomChoiceRule(model.universe, best_element_rule(nu))
+        assert rule.denominator == 4
+        assert verify_contour_mass_identity(nu)
+
     def test_induced_rule_is_valid(self, rng):
         for n in (3, 4):
             u = Universe.of_size(n)
@@ -143,6 +157,13 @@ class TestValidateRcr:
         del values[key(U2, "x", "xy")]
         with pytest.raises(RumkitError, match="missing"):
             RandomChoiceRule(U2, values)
+
+    def test_off_lattice_key_named(self):
+        u = Universe.of_size(10)
+        values = {k: Fraction(0) for k in contour_pair_keys(10)}
+        values[(3, 0b10)] = Fraction(1)  # 3 is not in the menu {b}
+        with pytest.raises(RumkitError, match=re.escape("off the lattice: (3, 2)")):
+            RandomChoiceRule(u, values)
 
 
 class TestMobiusInverse:
@@ -274,6 +295,45 @@ class TestTransformOracles:
         for pref in models[-1]:
             expect = best_element_rule(point_mass(models[-1], pref))
             assert rule_vector(pref) == tuple(expect.values())
+
+
+_LARGE_PRIMES = (999_983, 1_000_003, (1 << 61) - 1)
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(_LARGE_PRIMES)),
+    # halves and thirds, whose sums reduce to integers
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]),
+)
+
+
+@st.composite
+def _exact_tables(draw) -> tuple[int, dict[tuple[int, int], Fraction]]:
+    n = draw(st.integers(3, 6))
+    keys = contour_pair_keys(n)
+    entries = draw(st.lists(_ENTRIES, min_size=len(keys), max_size=len(keys)))
+    return n, dict(zip(keys, entries))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_exact_tables(), st.integers(2, 10**9))
+def test_integer_table_matches_the_fraction_oracles(table, scale):
+    """The flat integer table against Fractions entry by entry, on tables with
+    zeros, negative values and unrelated denominators."""
+    n, values = table
+    u = Universe.of_size(n)
+    t = RandomChoiceRule(u, values)
+    assert t.values == values
+    q = mobius_inverse(t)
+    assert q.values == alternating_sum_mobius(t)
+    assert mobius_forward(q) == t
+    for stored in (t, q, mobius_forward(q)):
+        assert stored.denominator > 0
+        assert gcd(stored.denominator, *stored.numerators) == 1
+        assert all(gcd(v.numerator, v.denominator) == 1 for v in stored.values.values())
+    # the same values written over another denominator make an equal table
+    unreduced = {k: f"{v.numerator * scale}/{v.denominator * scale}" for k, v in values.items()}
+    assert RandomChoiceRule(u, unreduced) == t
 
 
 class TestFlowConservation:
