@@ -11,6 +11,7 @@ recovery routines.
 
 from .core import (
     ContourPair,
+    Lattice,
     Menu,
     Model,
     Preference,
@@ -18,8 +19,8 @@ from .core import (
     all_preferences,
     check_minimal_mutual_agreement,
     contour_class,
-    contour_pair_keys,
     in_contour_class,
+    lattice,
     preference_from_labels,
     upper_contour_pairs,
 )

@@ -74,10 +74,6 @@ def _mass_payload(dist: PreferenceDistribution) -> dict:
     return {_ranking_text(p): str(m) for p, m in dist.entries}
 
 
-def _pair_text(universe: Universe, x: int, mask: int) -> str:
-    return f"({universe.labels[x]}, {universe.describe_mask(mask)})"
-
-
 def _parse_order_labels(raw: str) -> list[str]:
     labels = [part.strip() for part in raw.split(",")]
     if any(not lab for lab in labels):
@@ -214,7 +210,7 @@ def _cmd_mobius(args: argparse.Namespace) -> Result:
         "nonnegative": nonneg.ok,
     }
     lines = [
-        f"q{_pair_text(universe, x, mask)} = {value}"
+        f"q{universe.describe_pair(x, mask)} = {value}"
         for (x, mask), value in q.items()
     ]
     lines.append(
@@ -251,7 +247,7 @@ def _cmd_recover(args: argparse.Namespace) -> Result:
             f"residual: {len(report.residual)} pairs differ, worst {worst}"
         )
         for (x, mask), diff in report.residual[:5]:
-            lines.append(f"  {_pair_text(universe, x, mask)}: {diff}")
+            lines.append(f"  {universe.describe_pair(x, mask)}: {diff}")
         if len(report.residual) > 5:
             lines.append(f"  ... and {len(report.residual) - 5} more")
     return OK if report.status is not RecoveryStatus.FAILED else NEGATIVE, payload, lines

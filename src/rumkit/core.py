@@ -1,9 +1,14 @@
-"""Alternatives, menus, strict preferences, and models.
+"""Alternatives, menus, strict preferences, models, and their coordinates.
 
 Alternatives are canonicalized to integer indices 0..n-1; labels exist for
 I/O only. Menus are bitmasks over those indices, which keeps subset-lattice
 operations O(1). Every value here is immutable after construction and every
 operation is a pure function.
+
+lattice(n) is the one coordinate system: the n * 2^(n-1) contour pairs (x, A)
+in canonical order, which index choice vectors, every rule and Mobius table
+and the edges of the flow diagram. It owns the lattice cap: every coordinate
+read goes through it, so no table is built past the cap.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 from string import ascii_lowercase
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchError, shown
 
@@ -22,24 +28,28 @@ DEFAULT_VECTOR_CAP = 12
 CAP_ENV_VAR = "RUMKIT_MAX_N"
 
 
+def _cap_override() -> int | None:
+    """The value of RUMKIT_MAX_N, which overrides both caps, or None if unset."""
+    raw = os.environ.get(CAP_ENV_VAR)
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise RumkitError(f"{CAP_ENV_VAR}={shown(raw)} is not a positive integer")
+    return value
+
+
 def lattice_cap() -> int:
     """Largest n allowed for lattice-wide operations (2^n nodes)."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_LATTICE_CAP
+    return _cap_override() or DEFAULT_LATTICE_CAP
 
 
 def vector_cap() -> int:
     """Largest n allowed for full-length choice vectors (n * 2^(n-1) coords)."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_VECTOR_CAP
-
-
-def require_lattice_cap(n: int) -> None:
-    cap = lattice_cap()
-    if n > cap:
-        raise CapExceededError(
-            f"n={n} exceeds the lattice cap of {cap}; set {CAP_ENV_VAR} to override"
-        )
+    return _cap_override() or DEFAULT_VECTOR_CAP
 
 
 def require_vector_cap(n: int) -> None:
@@ -111,6 +121,10 @@ class Universe:
     def describe_mask(self, mask: int) -> str:
         return "{" + ",".join(self.labels[i] for i in bits_of(mask)) + "}"
 
+    def describe_pair(self, x: int, mask: int) -> str:
+        """The contour pair (x, A) as text, like (a, {a,b})."""
+        return f"({self.labels[x]}, {self.describe_mask(mask)})"
+
 
 def bits_of(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
@@ -175,7 +189,7 @@ class ContourPair:
         return (self.x, self.menu.mask)
 
     def __str__(self) -> str:
-        return f"({self.universe.labels[self.x]}, {self.menu})"
+        return self.universe.describe_pair(self.x, self.mask)
 
 
 @dataclass(frozen=True)
@@ -347,26 +361,50 @@ def check_minimal_mutual_agreement(model: Model) -> bool:
     return all(p.reverse() not in model for p in model)
 
 
-@lru_cache(maxsize=None)
-def contour_pair_keys(n: int) -> tuple[tuple[int, int], ...]:
-    """All (x, menu mask) pairs in canonical coordinate order.
+@dataclass(frozen=True)
+class Lattice:
+    """The canonical contour-pair coordinates on n alternatives.
 
-    Order: |A| descending, then menu mask ascending, then x ascending. This is
-    the shared coordinate system for choice vectors and flow-diagram edges.
+    keys lists every pair (x, menu mask) with x in the menu, ordered by |A|
+    descending, then menu mask ascending, then x ascending; index maps a key
+    to its coordinate. to_major and to_canonical are gathers between
+    canonical order and alternative-major order, where x's 2^(n-1) pairs sit
+    in one block indexed by A minus x with bit x squeezed out: each block is
+    the subset lattice the superset transform runs on.
     """
-    full = (1 << n) - 1
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        by_size[mask.bit_count()].append(mask)
-    keys: list[tuple[int, int]] = []
-    for size in range(n, 0, -1):
-        for mask in by_size[size]:
-            for x in bits_of(mask):
-                keys.append((x, mask))
-    return tuple(keys)
+
+    n: int
+    keys: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+    to_major: Callable
+    to_canonical: Callable
 
 
 @lru_cache(maxsize=None)
-def contour_pair_index(n: int) -> dict[tuple[int, int], int]:
-    """Map from (x, menu mask) to its canonical coordinate."""
-    return {key: i for i, key in enumerate(contour_pair_keys(n))}
+def _build_coordinates(n: int) -> Lattice:
+    # a stable sort keeps masks ascending within each size
+    masks = sorted(range(1, 1 << n), key=int.bit_count, reverse=True)
+    keys = tuple((x, mask) for mask in masks for x in bits_of(mask))
+    index = {key: i for i, key in enumerate(keys)}
+    # the int objects index already holds, so the gathers add only pointers
+    coords = list(index.values())
+    block = 1 << (n - 1)
+    major = [0] * len(keys)
+    for i, (x, mask) in enumerate(keys):
+        rest = mask ^ (1 << x)
+        major[x * block + (rest & ((1 << x) - 1) | rest >> (x + 1) << x)] = coords[i]
+    canonical = [0] * len(keys)
+    for slot, i in enumerate(major):
+        canonical[i] = coords[slot]
+    return Lattice(n, keys, index, itemgetter(*major), itemgetter(*canonical))
+
+
+def lattice(n: int) -> Lattice:
+    """The coordinates on n alternatives, refused past the lattice cap before
+    anything is built."""
+    cap = lattice_cap()
+    if n > cap:
+        raise CapExceededError(
+            f"n={n} exceeds the lattice cap of {cap}; set {CAP_ENV_VAR} to override"
+        )
+    return _build_coordinates(n)

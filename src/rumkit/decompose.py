@@ -21,13 +21,13 @@ from .core import (
     Model,
     Preference,
     bits_of,
+    lattice,
 )
 from .errors import NotEdgeDecomposableError, RumkitError, WitnessError
 from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
-    _lattice,
     _superset_transform,
     as_fraction,
     mobius_inverse,
@@ -185,8 +185,8 @@ def recover_distribution(
     # assigned[i]: numerator, over q's denominator, of the mass peeled so far
     # onto pair i; once the peel is done it is the Mobius inverse the
     # recovered masses reconstruct
-    lattice = _lattice(model.universe.n)
-    index = lattice.index
+    coords = lattice(model.universe.n)
+    index = coords.index
     given = q.numerators
     assigned = [0] * len(given)
     peeled: dict[Preference, int] = {}
@@ -200,11 +200,11 @@ def recover_distribution(
     # compare in the input's own representation; mobius_inverse keeps the
     # rule's denominator, so data and q share one
     if isinstance(data, RandomChoiceRule):
-        assigned = _superset_transform(lattice, assigned, 1)
+        assigned = _superset_transform(coords, assigned, 1)
     denominator = q.denominator
     residual = []
     worst = 0
-    for key, entry, rebuilt in zip(lattice.keys, data.numerators, assigned):
+    for key, entry, rebuilt in zip(coords.keys, data.numerators, assigned):
         diff = entry - rebuilt
         if diff:
             residual.append((key, Fraction(diff, denominator)))
@@ -236,7 +236,7 @@ def extend_edge_decomposable(seed: Model) -> Model:
     superset of the seed, maximal under this construction.
     """
     universe = seed.universe
-    lattice = _lattice(universe.n)
+    keys = lattice(universe.n).keys
     if not is_edge_decomposable(seed):
         raise NotEdgeDecomposableError("seed model is not edge decomposable")
     full = universe.full_mask
@@ -244,7 +244,7 @@ def extend_edge_decomposable(seed: Model) -> Model:
     covered = {key for pref in prefs for key in pref.contour_keys()}
     # covered only grows and each addition covers its own target, so one
     # pass in canonical order finds every target a rescan from the start would
-    for key in lattice.keys:
+    for key in keys:
         if key in covered:
             continue
         x, mask = key

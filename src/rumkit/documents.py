@@ -15,12 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import Model, Universe, contour_pair_index, preference_from_labels
+from .core import Model, Universe, lattice, preference_from_labels
 from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
     PreferenceDistribution,
     RandomChoiceRule,
-    _lattice,
     as_fraction,
     validate_rcr,
 )
@@ -152,7 +151,7 @@ def dump_choice_data(
     seed: int | None = None,
 ) -> dict:
     universe = rule.universe
-    index = contour_pair_index(universe.n)
+    index = lattice(universe.n).index
     entries = []
     for mask in range(1, universe.full_mask + 1):
         menu = universe.menu(mask)
@@ -272,22 +271,19 @@ def parse_choice_data(doc: object) -> ChoiceData:
                         f"probability {values[(x, menu.mask)]}"
                     )
 
-    missing = [key for key in _lattice(universe.n).keys if key not in values]
+    missing = [key for key in lattice(universe.n).keys if key not in values]
     if missing:
-        x, mask = missing[0]
         raise DocumentError(
             f"entries: data must cover the full menu lattice; "
-            f"{len(missing)} pairs missing, first "
-            f"({universe.labels[x]}, {universe.describe_mask(mask)})"
+            f"{len(missing)} pairs missing, first {universe.describe_pair(*missing[0])}"
         )
     rule = RandomChoiceRule(universe, values)
     check = validate_rcr(rule)
     if not check:
         if check.negative:
-            x, mask = check.negative[0]
             raise DocumentError(
                 f"entries: negative probability at "
-                f"({universe.labels[x]}, {universe.describe_mask(mask)})"
+                f"{universe.describe_pair(*check.negative[0])}"
             )
         mask, total = check.bad_menus[0]
         raise DocumentError(

@@ -15,7 +15,7 @@ from .core import (
     Model,
     Preference,
     Universe,
-    contour_pair_index,
+    lattice,
     preference_from_labels,
     require_same_universe,
 )
@@ -233,7 +233,7 @@ def carum_recover(rule: RandomChoiceRule) -> CarumRecovery:
     n = universe.n
     full = universe.full_mask
     q = mobius_inverse(rule)
-    index = contour_pair_index(n)
+    index = lattice(n).index
 
     def positive_at(mask: int) -> list[int]:
         # q's denominator is positive, so a numerator carries the sign

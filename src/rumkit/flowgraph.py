@@ -20,9 +20,7 @@ from .core import (
     Preference,
     Universe,
     bits_of,
-    contour_pair_index,
-    contour_pair_keys,
-    require_lattice_cap,
+    lattice,
     require_same_universe,
 )
 from .errors import RumkitError
@@ -55,7 +53,7 @@ class FlowDiagram:
         return len(self.pairs)
 
     def edge_id(self, x: int, mask: int) -> int:
-        return contour_pair_index(self.universe.n)[(x, mask)]
+        return lattice(self.universe.n).index[(x, mask)]
 
     def edge_endpoints(self, edge_id: int) -> tuple[int, int]:
         """(source mask, destination mask) of an edge id."""
@@ -72,8 +70,7 @@ class FlowDiagram:
 
 def build_diagram(universe: Universe, appended: bool = True) -> FlowDiagram:
     """Materialize all n * 2^(n-1) contour edges (plus the loop if appended)."""
-    require_lattice_cap(universe.n)
-    return FlowDiagram(universe, appended, contour_pair_keys(universe.n))
+    return FlowDiagram(universe, appended, lattice(universe.n).keys)
 
 
 def cyclomatic_number(diagram: FlowDiagram) -> int:
@@ -266,46 +263,40 @@ def preference_basis(
     if not check:
         raise RumkitError(f"invalid spanning tree: {check.violations[0]}")
     universe = diagram.universe
-    n = universe.n
     full = universe.full_mask
-    index = contour_pair_index(n)
+    index = lattice(universe.n).index
+    pairs = diagram.pairs
     tree_edges = tree.tree_edges
     available = set(tree_edges)
     available.add(diagram.appended_edge_id)
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        by_size[mask.bit_count()].append(mask)
 
     basis: list[tuple[Preference, ContourPair]] = []
-    for size in range(1, n + 1):
-        for mask in by_size[size]:
-            for x in bits_of(mask):
-                eid = index[(x, mask)]
-                if eid in tree_edges:
-                    continue
-                up: list[int] = []
-                node = mask
-                while node != full:
-                    par, pe = tree.parent[node]
-                    up.append(pe)
-                    node = par
-                up.reverse()
-                available.add(eid)
-                ranking = [diagram.pairs[pe][0] for pe in up]
-                ranking.append(x)
-                cur = mask ^ (1 << x)
-                while cur:
-                    for y in bits_of(cur):
-                        if index[(y, cur)] in available:
-                            break
-                    else:
-                        raise RumkitError(
-                            "descent stuck below "
-                            f"{universe.describe_mask(cur)}"
-                        )
-                    ranking.append(y)
-                    cur ^= 1 << y
-                pref = Preference(universe, tuple(ranking))
-                witness = ContourPair(x, Menu(universe, mask))
-                basis.append((pref, witness))
+    # a stable sort of the canonical order by menu size keeps masks and then
+    # removed elements ascending within each level
+    for eid in sorted(range(len(pairs)), key=lambda e: pairs[e][1].bit_count()):
+        if eid in tree_edges:
+            continue
+        x, mask = pairs[eid]
+        up: list[int] = []
+        node = mask
+        while node != full:
+            par, pe = tree.parent[node]
+            up.append(pe)
+            node = par
+        up.reverse()
+        available.add(eid)
+        ranking = [pairs[pe][0] for pe in up]
+        ranking.append(x)
+        cur = mask ^ (1 << x)
+        while cur:
+            for y in bits_of(cur):
+                if index[(y, cur)] in available:
+                    break
+            else:
+                raise RumkitError(f"descent stuck below {universe.describe_mask(cur)}")
+            ranking.append(y)
+            cur ^= 1 << y
+        pref = Preference(universe, tuple(ranking))
+        witness = ContourPair(x, Menu(universe, mask))
+        basis.append((pref, witness))
     return tuple(basis)

@@ -16,17 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    Model,
-    Preference,
-    contour_pair_index,
-    require_vector_cap,
-)
+from .core import Model, Preference, lattice, require_vector_cap
 from .errors import RumkitError
 from .stochastic import (
     PreferenceDistribution,
     _contour_mass,
-    _lattice,
     _superset_transform,
     rcr_from_distribution,
 )
@@ -38,11 +32,11 @@ def mobius_vector(pref: Preference) -> tuple[int, ...]:
     """0/1 vector with ones exactly at pref's n upper contour pairs."""
     n = pref.universe.n
     require_vector_cap(n)
-    index = contour_pair_index(n)
-    coords = [0] * len(index)
+    index = lattice(n).index
+    vector = [0] * len(index)
     for key in pref.contour_keys():
-        coords[index[key]] = 1
-    return tuple(coords)
+        vector[index[key]] = 1
+    return tuple(vector)
 
 
 def rule_vector(pref: Preference) -> tuple[int, ...]:
@@ -52,9 +46,9 @@ def rule_vector(pref: Preference) -> tuple[int, ...]:
     """
     n = pref.universe.n
     require_vector_cap(n)
-    lattice = _lattice(n)
-    numerators, _ = _contour_mass(lattice, ((pref, 1),))
-    return tuple(_superset_transform(lattice, numerators, 1))
+    coords = lattice(n)
+    numerators, _ = _contour_mass(coords, ((pref, 1),))
+    return tuple(_superset_transform(coords, numerators, 1))
 
 
 def _eliminate(
@@ -175,7 +169,7 @@ def is_identified(model: Model) -> IdentificationResult:
     """
     n = model.universe.n
     require_vector_cap(n)
-    index = contour_pair_index(n)
+    index = lattice(n).index
     rows = [{index[key]: 1 for key in pref.contour_keys()} for pref in model]
     if _eliminate(rows, _PRESCREEN_PRIME)[0] == len(rows):
         return IdentificationResult(True, None)

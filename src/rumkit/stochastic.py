@@ -3,8 +3,8 @@
 All probability arithmetic is exact and nothing is ever rounded.
 Floating-point inputs are rejected because the identification questions
 downstream are exact statements. A table over the pair lattice (a rule p or
-its Mobius inverse q) is stored as integer numerators in canonical
-contour-pair order over one denominator; Fractions are made only at the API
+its Mobius inverse q) is stored as integer numerators in the coordinate order
+of core.lattice(n) over one denominator; Fractions are made only at the API
 edge, when a caller reads an entry. Distribution masses are Fractions.
 
 Every sum over supersets goes through one kernel, _superset_transform: Yates's
@@ -26,18 +26,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
-from .core import (
-    Model,
-    Preference,
-    Universe,
-    contour_pair_index,
-    contour_pair_keys,
-    require_lattice_cap,
-)
+from .core import Lattice, Model, Preference, Universe, lattice
 from .errors import RumkitError, shown
 
 RationalLike = Union[Fraction, int, str]
@@ -61,7 +52,9 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise RumkitError(
             f"float {value!r} rejected: pass an exact value like '0.25' or '1/4'"
         )
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if re.search(r"[eE][-+]?\d", value):
@@ -84,48 +77,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise RumkitError(f"cannot interpret {shown(value)} as an exact rational")
 
 
-@dataclass(frozen=True)
-class _Lattice:
-    """The coordinate tables of the pair lattice on n alternatives.
-
-    keys and index are the canonical contour-pair coordinates. to_major and
-    to_canonical are gathers between canonical order and alternative-major
-    order, where x's 2^(n-1) pairs sit in one block indexed by A minus x with
-    bit x squeezed out: each block is the subset lattice the superset
-    transform runs on.
-    """
-
-    n: int
-    keys: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int]
-    to_major: Callable
-    to_canonical: Callable
-
-
-@lru_cache(maxsize=None)
-def _build_lattice(n: int) -> _Lattice:
-    keys = contour_pair_keys(n)
-    index = contour_pair_index(n)
-    # the int objects index already holds, so the gathers add only pointers
-    coords = list(index.values())
-    block = 1 << (n - 1)
-    major = [0] * len(keys)
-    for i, (x, mask) in enumerate(keys):
-        rest = mask ^ (1 << x)
-        major[x * block + (rest & ((1 << x) - 1) | rest >> (x + 1) << x)] = coords[i]
-    canonical = [0] * len(keys)
-    for slot, i in enumerate(major):
-        canonical[i] = coords[slot]
-    return _Lattice(n, keys, index, itemgetter(*major), itemgetter(*canonical))
-
-
-def _lattice(n: int) -> _Lattice:
-    """The coordinate tables for n, refused past the lattice cap before any
-    allocation."""
-    require_lattice_cap(n)
-    return _build_lattice(n)
-
-
 @dataclass(frozen=True, init=False)
 class _PairTable:
     """Exact-rational map defined on every (x, A) with x in A, A nonempty.
@@ -143,18 +94,17 @@ class _PairTable:
     def __init__(
         self, universe: Universe, values: Mapping[tuple[int, int], RationalLike]
     ) -> None:
-        lattice = _lattice(universe.n)
-        missing = [k for k in lattice.keys if k not in values]
+        coords = lattice(universe.n)
+        missing = [k for k in coords.keys if k not in values]
         if missing:
-            x, mask = missing[0]
             raise RumkitError(
                 f"value table is missing {len(missing)} pairs, first "
-                f"({universe.labels[x]}, {universe.describe_mask(mask)})"
+                f"{universe.describe_pair(*missing[0])}"
             )
-        if len(values) != len(lattice.keys):
-            extra = next(k for k in values if k not in lattice.index)
+        if len(values) != len(coords.keys):
+            extra = next(k for k in values if k not in coords.index)
             raise RumkitError(f"value table has an entry off the lattice: {extra}")
-        fractions = [as_fraction(values[k]) for k in lattice.keys]
+        fractions = [as_fraction(values[k]) for k in coords.keys]
         # over the lcm of reduced fractions' denominators the numerators share
         # no factor with it: a prime of the lcm misses the numerator of the
         # entry whose denominator holds its highest power
@@ -177,7 +127,7 @@ class _PairTable:
         object.__setattr__(self, "denominator", denominator)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        index = contour_pair_index(self.universe.n)
+        index = lattice(self.universe.n).index
         return Fraction(self.numerators[index[key]], self.denominator)
 
     def value(self, x: int, mask: int) -> Fraction:
@@ -186,7 +136,7 @@ class _PairTable:
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Entries in canonical coordinate order."""
         d = self.denominator
-        keys = contour_pair_keys(self.universe.n)
+        keys = lattice(self.universe.n).keys
         return ((key, Fraction(v, d)) for key, v in zip(keys, self.numerators))
 
     @property
@@ -215,18 +165,20 @@ class PreferenceDistribution:
         self, model: Model, mass: Mapping[Preference, RationalLike]
     ) -> None:
         entries = []
-        total = Fraction(0)
         for pref, value in mass.items():
             m = as_fraction(value)
             if m < 0:
                 raise RumkitError(f"negative mass {m} on {pref}")
             if pref not in model:
                 raise RumkitError(f"support preference {pref} is not in the model")
-            total += m
             if m > 0:
                 entries.append((pref, m))
-        if total != 1:
-            raise RumkitError(f"masses sum to {total}, not 1")
+        # summed as integers over the lcm: adding Fractions one by one would
+        # take a gcd per mass
+        denominator = math.lcm(*(m.denominator for _, m in entries))
+        total = sum(m.numerator * (denominator // m.denominator) for _, m in entries)
+        if total != denominator:
+            raise RumkitError(f"masses sum to {Fraction(total, denominator)}, not 1")
         entries.sort(key=lambda item: item[0].ranking)
         self.model = model
         self.entries: tuple[tuple[Preference, Fraction], ...] = tuple(entries)
@@ -270,7 +222,7 @@ def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
     return [v // common for v in numerators], denominator // common
 
 
-def _superset_transform(lattice: _Lattice, numerators, sign: int) -> list[int]:
+def _superset_transform(coords: Lattice, numerators, sign: int) -> list[int]:
     """t(x, A) becomes the sum of sign^|B \\ A| * t(x, B) over B >= A.
 
     Takes and returns numerators in canonical order; the denominator is
@@ -283,12 +235,12 @@ def _superset_transform(lattice: _Lattice, numerators, sign: int) -> list[int]:
     as slice arithmetic: n(n-1) 2^(n-2) integer additions and no hashing.
     sign +1 is the forward (zeta) transform, -1 the Mobius inverse.
     """
-    n = lattice.n
+    n = coords.n
     if n == 1:
         # one pair, its own superset sum (and a one-index gather is no tuple)
         return list(numerators)
     step = operator.add if sign > 0 else operator.sub
-    t = list(lattice.to_major(numerators))
+    t = list(coords.to_major(numerators))
     size = len(t)
     for b in range(n - 1):
         low = 1 << b
@@ -301,10 +253,10 @@ def _superset_transform(lattice: _Lattice, numerators, sign: int) -> list[int]:
             # many short runs: one strided slice per offset inside a run
             for r in range(low):
                 t[r::span] = map(step, t[r::span], t[r + low :: span])
-    return list(lattice.to_canonical(t))
+    return list(coords.to_canonical(t))
 
 
-def _contour_mass(lattice: _Lattice, entries) -> tuple[list[int], int]:
+def _contour_mass(coords: Lattice, entries) -> tuple[list[int], int]:
     """Each preference's mass placed on its n upper-contour pairs.
 
     Returns reduced numerators in canonical order and their denominator;
@@ -312,8 +264,8 @@ def _contour_mass(lattice: _Lattice, entries) -> tuple[list[int], int]:
     set of x is A.
     """
     denominator = math.lcm(*(mass.denominator for _, mass in entries))
-    numerators = [0] * len(lattice.keys)
-    index = lattice.index
+    numerators = [0] * len(coords.keys)
+    index = coords.index
     for pref, mass in entries:
         share = mass.numerator * (denominator // mass.denominator)
         for key in pref.contour_keys():
@@ -328,10 +280,10 @@ def rcr_from_distribution(dist: PreferenceDistribution) -> RandomChoiceRule:
     the rule is the superset sum of the contour-class masses.
     """
     universe = dist.universe
-    lattice = _lattice(universe.n)
-    numerators, denominator = _contour_mass(lattice, dist.entries)
+    coords = lattice(universe.n)
+    numerators, denominator = _contour_mass(coords, dist.entries)
     return RandomChoiceRule._of(
-        universe, _superset_transform(lattice, numerators, 1), denominator
+        universe, _superset_transform(coords, numerators, 1), denominator
     )
 
 
@@ -349,7 +301,7 @@ def validate_rcr(rule: RandomChoiceRule) -> RuleValidation:
     """Check nonnegativity and unit menu sums; report every violation."""
     negative = []
     sums: dict[int, int] = {}
-    keys = contour_pair_keys(rule.universe.n)
+    keys = lattice(rule.universe.n).keys
     for (x, mask), v in zip(keys, rule.numerators):
         if v < 0:
             negative.append((x, mask))
@@ -366,8 +318,7 @@ def mobius_inverse(rule: RandomChoiceRule) -> MobiusInverse:
     Computed on the rule's numerators by the superset transform with sign
     -1 (n(n-1) 2^(n-2) integer subtractions), over the rule's denominator.
     """
-    lattice = _lattice(rule.universe.n)
-    numerators = _superset_transform(lattice, rule.numerators, -1)
+    numerators = _superset_transform(lattice(rule.universe.n), rule.numerators, -1)
     return MobiusInverse._of(rule.universe, numerators, rule.denominator)
 
 
@@ -377,8 +328,7 @@ def mobius_forward(q: MobiusInverse) -> RandomChoiceRule:
     The superset transform with sign +1 on q's numerators: n(n-1) 2^(n-2)
     integer additions, over q's denominator.
     """
-    lattice = _lattice(q.universe.n)
-    numerators = _superset_transform(lattice, q.numerators, 1)
+    numerators = _superset_transform(lattice(q.universe.n), q.numerators, 1)
     return RandomChoiceRule._of(q.universe, numerators, q.denominator)
 
 
@@ -397,7 +347,7 @@ def check_stochastic_rationality_necessary(q: MobiusInverse) -> NonnegativityChe
     This is only the necessary half of stochastic rationality; it is not a
     full rationalizability test.
     """
-    keys = contour_pair_keys(q.universe.n)
+    keys = lattice(q.universe.n).keys
     negative = tuple(key for key, v in zip(keys, q.numerators) if v < 0)
     return NonnegativityCheck(not negative, negative)
 
@@ -421,12 +371,12 @@ def flow_conservation_check(q: MobiusInverse) -> FlowCheck:
     universe = q.universe
     n = universe.n
     full = universe.full_mask
-    lattice = _lattice(n)
+    coords = lattice(n)
     numerators = q.numerators
     out = dict.fromkeys(range(1, full + 1), 0)
-    for (x, mask), v in zip(lattice.keys, numerators):
+    for (x, mask), v in zip(coords.keys, numerators):
         out[mask] += v
-    index = lattice.index
+    index = coords.index
     bad = []
     for mask in range(1, full):
         inflow = 0
@@ -448,7 +398,7 @@ def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
     of supported preferences whose weak lower contour set of x is exactly A.
     """
     q = mobius_inverse(rcr_from_distribution(dist))
-    mass = _contour_mass(_lattice(dist.universe.n), dist.entries)
+    mass = _contour_mass(lattice(dist.universe.n), dist.entries)
     return q == MobiusInverse._of(dist.universe, *mass)
 
 
@@ -489,7 +439,7 @@ def sample_empirical_rule(
     for w in weights:
         acc += int(w * denom)
         thresholds.append(acc)
-    index = _lattice(universe.n).index
+    index = lattice(universe.n).index
     counts: dict[tuple[int, int], int] = {}
     numerators = [0] * len(index)
     for mask in range(1, universe.full_mask + 1):

@@ -14,7 +14,7 @@ from rumkit import (
     PreferenceDistribution,
     RandomChoiceRule,
     Universe,
-    contour_pair_keys,
+    lattice,
 )
 
 
@@ -68,7 +68,7 @@ def random_mobius_values(
     """An arbitrary exact table over all pairs, negative entries included."""
     return {
         key: Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-        for key in contour_pair_keys(universe.n)
+        for key in lattice(universe.n).keys
     }
 
 
@@ -77,7 +77,7 @@ def alternating_sum_mobius(rule: RandomChoiceRule) -> dict[tuple[int, int], Frac
     q(x, A) = sum over B >= A of (-1)^|B \\ A| p(x, B)."""
     universe = rule.universe
     table = {}
-    for x, mask in contour_pair_keys(universe.n):
+    for x, mask in lattice(universe.n).keys:
         extra = universe.full_mask & ~mask
         total = Fraction(0)
         add = extra
@@ -95,7 +95,7 @@ def best_element_rule(dist: PreferenceDistribution) -> dict[tuple[int, int], Fra
     """Oracle for the induced rule: p(x, A) is the summed mass of the
     preferences whose best element in A is x."""
     universe = dist.universe
-    table = {key: Fraction(0) for key in contour_pair_keys(universe.n)}
+    table = {key: Fraction(0) for key in lattice(universe.n).keys}
     for mask in range(1, universe.full_mask + 1):
         for pref, m in dist.entries:
             table[(pref.best_in(mask), mask)] += m

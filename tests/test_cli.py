@@ -126,6 +126,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: preferences[0]: unknown label '{'9' * 39}... (5002 chars)\n"
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+    def test_bad_cap_override_is_input_error(self, capsys, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv(CAP_ENV_VAR, raw)
+        out_file = tmp_path / "m.json"
+        code, out, err = run(capsys, "max-basis", "-n", "4", "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"error: RUMKIT_MAX_N={raw!r} is not a positive integer\n"
+
     @pytest.mark.parametrize(
         "command", ["generate", "extend", "mobius", "recover", "carum-recover"]
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,11 +18,12 @@ from rumkit import (
     UniverseMismatchError,
     all_preferences,
     check_minimal_mutual_agreement,
-    contour_pair_keys,
     in_contour_class,
+    lattice,
     preference_from_labels,
     upper_contour_pairs,
 )
+from rumkit.errors import shown
 
 U2 = Universe(("a", "b"))
 U3 = Universe(("a", "b", "c"))
@@ -102,7 +105,7 @@ class TestContourClass:
 
     def test_agrees_with_bruteforce_everywhere(self):
         for p in all_preferences(U4):
-            for x, mask in contour_pair_keys(4):
+            for x, mask in lattice(4).keys:
                 got = in_contour_class(p, ContourPair(x, Menu(U4, mask)))
                 assert got == brute_in_class(p, x, mask)
 
@@ -123,7 +126,7 @@ class TestUpperContourPairs:
         for p in all_preferences(U3):
             member_keys = {
                 (x, mask)
-                for x, mask in contour_pair_keys(3)
+                for x, mask in lattice(3).keys
                 if in_contour_class(p, ContourPair(x, Menu(U3, mask)))
             }
             assert member_keys == {(c.x, c.mask) for c in upper_contour_pairs(p)}
@@ -132,7 +135,7 @@ class TestUpperContourPairs:
     def test_one_best_per_contour_menu(self):
         for p in all_preferences(U4):
             seen: dict[int, int] = {}
-            for x, mask in contour_pair_keys(4):
+            for x, mask in lattice(4).keys:
                 if in_contour_class(p, ContourPair(x, Menu(U4, mask))):
                     assert seen.setdefault(mask, x) == x
 
@@ -235,10 +238,10 @@ class TestModel:
 class TestCoordinateOrder:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_count(self, n):
-        assert len(contour_pair_keys(n)) == n * 2 ** (n - 1)
+        assert len(lattice(n).keys) == n * 2 ** (n - 1)
 
     def test_order_levels_then_mask_then_element(self):
-        keys = contour_pair_keys(3)
+        keys = lattice(3).keys
         sizes = [mask.bit_count() for _, mask in keys]
         assert sizes == sorted(sizes, reverse=True)
         # within one level, mask ascending and x ascending within a mask
@@ -246,9 +249,34 @@ class TestCoordinateOrder:
         assert level2 == sorted(level2, key=lambda key: (key[1], key[0]))
 
     def test_distinct_and_complete(self):
-        keys = contour_pair_keys(4)
+        keys = lattice(4).keys
         assert len(set(keys)) == len(keys)
         assert all(mask >> x & 1 for x, mask in keys)
+
+    def test_built_once_per_n(self):
+        assert lattice(4) is lattice(4)
+        assert lattice(4).index == {key: i for i, key in enumerate(lattice(4).keys)}
+
+    def test_refused_past_the_cap_before_building(self, monkeypatch):
+        from rumkit import CapExceededError
+        from rumkit.core import CAP_ENV_VAR, _build_coordinates
+
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        before = _build_coordinates.cache_info()
+        with pytest.raises(CapExceededError, match="n=4 exceeds the lattice cap of 3"):
+            lattice(4)
+        assert _build_coordinates.cache_info() == before
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gathers_are_inverse_permutations(self, n):
+        coords = lattice(n)
+        size = len(coords.keys)
+        assert sorted(coords.to_major(range(size))) == list(range(size))
+        assert list(coords.to_canonical(coords.to_major(range(size)))) == list(range(size))
+        # alternative-major: x's 2^(n-1) pairs fill block x
+        block = 1 << (n - 1)
+        major = coords.to_major(coords.keys)
+        assert [x for x, _ in major] == [slot // block for slot in range(size)]
 
 
 class TestCaps:
@@ -277,6 +305,24 @@ class TestCaps:
         with pytest.raises(CapExceededError):
             mobius_vector(Preference(Universe.of_size(4), (0, 1, 2, 3)))
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5", "9" * 5000])
+    def test_override_must_be_a_positive_integer(self, monkeypatch, raw):
+        from rumkit import CapExceededError
+        from rumkit.core import CAP_ENV_VAR, lattice_cap, vector_cap
+
+        monkeypatch.setenv(CAP_ENV_VAR, raw)
+        message = f"^RUMKIT_MAX_N={re.escape(shown(raw))} is not a positive integer$"
+        for read_cap in (lattice_cap, vector_cap):
+            with pytest.raises(RumkitError, match=message) as info:
+                read_cap()
+            assert not isinstance(info.value, CapExceededError)
+
+    def test_empty_override_keeps_the_defaults(self, monkeypatch):
+        from rumkit.core import CAP_ENV_VAR, lattice_cap, vector_cap
+
+        monkeypatch.setenv(CAP_ENV_VAR, "")
+        assert (lattice_cap(), vector_cap()) == (20, 12)
+
 
 class TestUniverse:
     def test_labels_must_be_distinct(self):
@@ -286,6 +332,10 @@ class TestUniverse:
     def test_default_labels(self):
         assert Universe.of_size(3).labels == ("a", "b", "c")
         assert Universe.of_size(27).labels[26] == "x27"
+
+    def test_describe_pair(self):
+        assert U3.describe_pair(1, 0b110) == "(b, {b,c})"
+        assert str(ContourPair(1, Menu(U3, 0b110))) == "(b, {b,c})"
 
     def test_menu_of_labels(self):
         menu = U3.menu_of_labels(["a", "c"])

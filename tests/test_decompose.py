@@ -19,7 +19,6 @@ from rumkit import (
     WitnessError,
     all_preferences,
     build_diagram,
-    contour_pair_keys,
     directed_spanning_tree,
     double_cover_model,
     extend_edge_decomposable,
@@ -28,6 +27,7 @@ from rumkit import (
     is_edge_decomposable,
     is_identified,
     latin_square,
+    lattice,
     mobius_inverse,
     point_mass,
     preference_basis,
@@ -241,7 +241,7 @@ def restart_scan_extend(seed: Model) -> Model:
     prefs = list(seed.preferences)
     covered = set().union(*map(pairs, prefs))
     while True:
-        target = next((k for k in contour_pair_keys(u.n) if k not in covered), None)
+        target = next((k for k in lattice(u.n).keys if k not in covered), None)
         if target is None:
             return Model.of(u, prefs)
         x, mask = target

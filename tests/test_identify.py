@@ -12,12 +12,12 @@ from rumkit import (
     Universe,
     all_preferences,
     build_diagram,
-    contour_pair_keys,
     directed_spanning_tree,
     double_cover_model,
     fishburn_distributions,
     fishburn_model,
     is_identified,
+    lattice,
     max_identified_size,
     mobius_inverse,
     mobius_vector,
@@ -58,7 +58,7 @@ class TestVectors:
     def test_two_alternative_positions(self):
         u = Universe(("x", "y"))
         p = preference_from_labels(u, "xy")
-        keys = contour_pair_keys(2)
+        keys = lattice(2).keys
         q = mobius_vector(p)
         ones_q = {keys[i] for i, v in enumerate(q) if v}
         assert ones_q == {(0, 0b11), (1, 0b10)}
@@ -77,9 +77,9 @@ class TestVectors:
         for p in list(all_preferences(u))[:8]:
             rule = rcr_from_distribution(point_mass(Model.of(u, [p]), p))
             q = mobius_inverse(rule)
-            flat = tuple(int(q.value(x, mask)) for x, mask in contour_pair_keys(4))
+            flat = tuple(int(q.value(x, mask)) for x, mask in lattice(4).keys)
             assert flat == mobius_vector(p)
-            rv = tuple(int(rule.value(x, mask)) for x, mask in contour_pair_keys(4))
+            rv = tuple(int(rule.value(x, mask)) for x, mask in lattice(4).keys)
             assert rv == rule_vector(p)
 
 

@@ -27,15 +27,16 @@ from rumkit import (
     RandomChoiceRule,
     RumkitError,
     Universe,
+    all_preferences,
     as_fraction,
     build_diagram,
     check_stochastic_rationality_necessary,
-    contour_pair_keys,
     directed_spanning_tree,
     double_cover_model,
     fishburn_distributions,
     flow_conservation_check,
     in_contour_class,
+    lattice,
     mobius_forward,
     mobius_inverse,
     point_mass,
@@ -94,6 +95,48 @@ class TestAsFraction:
             as_fraction(text)
         assert str(info.value) == "cannot parse rational: an integer has more than 4300 digits"
 
+    def test_fraction_returned_as_is(self):
+        value = Fraction(2, 3)
+        assert as_fraction(value) is value
+
+
+class TestPreferenceDistribution:
+    U4 = Universe(("a", "b", "c", "d"))
+    MODEL = Model.of(U4, all_preferences(U4))
+    ODD_PRIMES = (
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89
+    )
+
+    def masses(self, shortfall: Fraction) -> dict:
+        """1/(2p) on all but the last preference, one odd prime p each; the
+        last takes the rest minus shortfall."""
+        prefs = self.MODEL.preferences
+        masses = {pref: Fraction(1, 2 * p) for pref, p in zip(prefs, self.ODD_PRIMES)}
+        masses[prefs[-1]] = 1 - sum(masses.values()) - shortfall
+        return masses
+
+    def test_negative_mass_refused(self):
+        a, b = self.MODEL.preferences[:2]
+        with pytest.raises(RumkitError, match=r"^negative mass -1/2 on a≻b≻d≻c$"):
+            PreferenceDistribution(self.MODEL, {a: Fraction(3, 2), b: Fraction(-1, 2)})
+
+    def test_preference_outside_the_model_refused(self):
+        model = Model.of(U3, list(all_preferences(U3))[:2])
+        outside = preference_from_labels(U3, "zyx")
+        with pytest.raises(RumkitError, match=r"^support preference z≻y≻x is not in the model$"):
+            PreferenceDistribution(model, {outside: Fraction(1)})
+
+    def test_sum_off_by_one_over_a_large_prime_refused(self):
+        shortfall = Fraction(1, 2**61 - 1)
+        with pytest.raises(RumkitError) as info:
+            PreferenceDistribution(self.MODEL, self.masses(shortfall))
+        assert str(info.value) == f"masses sum to {1 - shortfall}, not 1"
+
+    def test_sum_of_exactly_one_accepted(self):
+        masses = self.masses(Fraction(0))
+        dist = PreferenceDistribution(self.MODEL, masses)
+        assert dict(dist.entries) == masses
+
 
 class TestRuleFromDistribution:
     def test_point_mass(self):
@@ -137,7 +180,7 @@ class TestRuleFromDistribution:
 
 class TestValidateRcr:
     def test_menu_sum_violation(self):
-        values = {k: Fraction(1) for k in contour_pair_keys(2)}
+        values = {k: Fraction(1) for k in lattice(2).keys}
         values[key(U2, "x", "xy")] = Fraction(3, 4)
         values[key(U2, "y", "xy")] = Fraction(3, 4)
         check = validate_rcr(RandomChoiceRule(U2, values))
@@ -145,7 +188,7 @@ class TestValidateRcr:
         assert check.bad_menus == ((0b11, Fraction(3, 2)),)
 
     def test_negative_entry(self):
-        values = {k: Fraction(1) for k in contour_pair_keys(2)}
+        values = {k: Fraction(1) for k in lattice(2).keys}
         values[key(U2, "x", "xy")] = Fraction(-1, 4)
         values[key(U2, "y", "xy")] = Fraction(5, 4)
         check = validate_rcr(RandomChoiceRule(U2, values))
@@ -153,14 +196,14 @@ class TestValidateRcr:
         assert check.negative == (key(U2, "x", "xy"),)
 
     def test_missing_pair_rejected_at_construction(self):
-        values = {k: Fraction(1) for k in contour_pair_keys(2)}
+        values = {k: Fraction(1) for k in lattice(2).keys}
         del values[key(U2, "x", "xy")]
         with pytest.raises(RumkitError, match="missing"):
             RandomChoiceRule(U2, values)
 
     def test_off_lattice_key_named(self):
         u = Universe.of_size(10)
-        values = {k: Fraction(0) for k in contour_pair_keys(10)}
+        values = {k: Fraction(0) for k in lattice(10).keys}
         values[(3, 0b10)] = Fraction(1)  # 3 is not in the menu {b}
         with pytest.raises(RumkitError, match=re.escape("off the lattice: (3, 2)")):
             RandomChoiceRule(u, values)
@@ -184,7 +227,7 @@ class TestMobiusInverse:
         u = nu1.universe
         assert q.value(*key(u, "a", "abcd")) == Fraction(1, 2)
         assert q.value(*key(u, "c", "cd")) == Fraction(1, 2)
-        for x, mask in contour_pair_keys(4):
+        for x, mask in lattice(4).keys:
             assert q.value(x, mask) == mass_of_class(nu1, x, mask)
 
     def test_roundtrip_on_random_rules(self, rng):
@@ -205,7 +248,7 @@ class TestMobiusInverse:
         p = preference_from_labels(U3, "xyz")
         path = {(x, p.contour_menu_mask(x)) for x in p.ranking}
         values = {
-            k: Fraction(1 if k in path else 0) for k in contour_pair_keys(3)
+            k: Fraction(1 if k in path else 0) for k in lattice(3).keys
         }
         forward = mobius_forward(MobiusInverse(U3, values))
         expect = rcr_from_distribution(point_mass(Model.of(U3, [p]), p))
@@ -226,7 +269,7 @@ class TestNecessaryCondition:
         # n=3, p(x,{x}) = 1 and uniform on larger menus: by hand,
         # q(x, X) = 1/3, q(x, pair menus) = 1/6, q(x, {x}) = 1/3, all >= 0
         values = {}
-        for x, mask in contour_pair_keys(3):
+        for x, mask in lattice(3).keys:
             values[(x, mask)] = Fraction(1, mask.bit_count())
         q = mobius_inverse(RandomChoiceRule(U3, values))
         check = check_stochastic_rationality_necessary(q)
@@ -236,7 +279,7 @@ class TestNecessaryCondition:
         assert q.value(*key(U3, "x", "x")) == Fraction(1, 3)
 
     def test_injected_negative_entry_reported(self):
-        values = {k: Fraction(0) for k in contour_pair_keys(2)}
+        values = {k: Fraction(0) for k in lattice(2).keys}
         values[key(U2, "x", "xy")] = Fraction(-1, 3)
         check = check_stochastic_rationality_necessary(MobiusInverse(U2, values))
         assert not check
@@ -287,7 +330,7 @@ class TestTransformOracles:
             assert rule.values == best_element_rule(nu)
             q = mobius_inverse(rule)
             assert q.values == alternating_sum_mobius(rule)
-            for x, mask in contour_pair_keys(n):
+            for x, mask in lattice(n).keys:
                 assert q.value(x, mask) == mass_of_class(nu, x, mask)
             assert mobius_forward(MobiusInverse(u, alternating_sum_mobius(rule))) == rule
             arbitrary = random_rule(rng, u)
@@ -310,7 +353,7 @@ _ENTRIES = st.one_of(
 @st.composite
 def _exact_tables(draw) -> tuple[int, dict[tuple[int, int], Fraction]]:
     n = draw(st.integers(3, 6))
-    keys = contour_pair_keys(n)
+    keys = lattice(n).keys
     entries = draw(st.lists(_ENTRIES, min_size=len(keys), max_size=len(keys)))
     return n, dict(zip(keys, entries))
 
