@@ -10,23 +10,18 @@ recovery routines.
 """
 
 from .core import (
-    ContourPair,
     Lattice,
-    Menu,
     Model,
     Preference,
     Universe,
     all_preferences,
     check_minimal_mutual_agreement,
     contour_class,
-    in_contour_class,
     lattice,
     preference_from_labels,
-    upper_contour_pairs,
 )
 from .decompose import (
     DecompositionResult,
-    DecompositionWitness,
     RecoveryReport,
     RecoveryStatus,
     extend_edge_decomposable,

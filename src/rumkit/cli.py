@@ -145,11 +145,11 @@ def _cmd_check_edge_decomposable(args: argparse.Namespace) -> Result:
         f"(size {len(model)})"
     ]
     if result.decomposable and args.witness:
-        payload["witness"] = [
-            {"preference": _ranking_text(p), "pair": str(pair)} for p, pair in result.witness
-        ]
+        describe = model.universe.describe_pair
+        pairs = [(_ranking_text(p), describe(*key)) for p, key in result.witness]
+        payload["witness"] = [{"preference": p, "pair": pair} for p, pair in pairs]
         lines.append("peeling order (preference, witnessed pair):")
-        lines += [f"  {_ranking_text(p)} via {pair}" for p, pair in result.witness]
+        lines += [f"  {p} via {pair}" for p, pair in pairs]
     if not result.decomposable:
         payload["stuck"] = [_ranking_text(p) for p in result.stuck]
         lines.append(f"stuck submodel ({len(result.stuck)} preferences):")
@@ -201,7 +201,7 @@ def _cmd_mobius(args: argparse.Namespace) -> Result:
     payload: dict = {
         "entries": [
             {
-                "menu": list(universe.menu(mask).labels()),
+                "menu": list(universe.labels_of(mask)),
                 "x": universe.labels[x],
                 "value": str(value),
             }

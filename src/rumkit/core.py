@@ -1,11 +1,13 @@
 """Alternatives, menus, strict preferences, models, and their coordinates.
 
 Alternatives are canonicalized to integer indices 0..n-1; labels exist for
-I/O only. Menus are bitmasks over those indices, which keeps subset-lattice
-operations O(1). Every value here is immutable after construction and every
-operation is a pure function.
+I/O only. A menu is an int bitmask over those indices, which keeps
+subset-lattice operations O(1), and a contour pair (x, A) is its key
+(x, A mask) everywhere, witnesses and bases included; Universe.describe_pair,
+describe_mask and labels_of turn them into text. Every value here is
+immutable after construction and every operation is a pure function.
 
-lattice(n) is the one coordinate system: the n * 2^(n-1) contour pairs (x, A)
+lattice(n) is the one coordinate system: the n * 2^(n-1) contour pair keys
 in canonical order, which index choice vectors, every rule and Mobius table
 and the edges of the flow diagram. It owns the lattice cap: every coordinate
 read goes through it, so no table is built past the cap.
@@ -106,20 +108,22 @@ class Universe:
         except ValueError:
             raise LabelError(f"unknown label {shown(label)}") from None
 
-    def menu(self, mask: int) -> "Menu":
-        return Menu(self, mask)
-
-    def menu_of_labels(self, labels: Iterable[str]) -> "Menu":
+    def menu_of_labels(self, labels: Iterable[str]) -> int:
+        """The mask of the menu listing these labels."""
         mask = 0
         for lab in labels:
             bit = 1 << self.index(lab)
             if mask & bit:
                 raise LabelError(f"duplicate label {shown(lab)} in menu")
             mask |= bit
-        return Menu(self, mask)
+        return mask
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        """The labels of the menu mask's members, in index order."""
+        return tuple(self.labels[i] for i in bits_of(mask))
 
     def describe_mask(self, mask: int) -> str:
-        return "{" + ",".join(self.labels[i] for i in bits_of(mask)) + "}"
+        return "{" + ",".join(self.labels_of(mask)) + "}"
 
     def describe_pair(self, x: int, mask: int) -> str:
         """The contour pair (x, A) as text, like (a, {a,b})."""
@@ -132,64 +136,6 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass(frozen=True)
-class Menu:
-    """A subset of the universe, as a bitmask."""
-
-    universe: Universe
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= self.universe.full_mask:
-            raise RumkitError(f"menu mask {self.mask:#x} out of range for n={self.universe.n}")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.mask))
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.universe.labels[i] for i in self.members)
-
-    def __str__(self) -> str:
-        return self.universe.describe_mask(self.mask)
-
-
-@dataclass(frozen=True)
-class ContourPair:
-    """A pair (x, A) with x a member of menu A; indexes one lattice edge."""
-
-    x: int
-    menu: Menu
-
-    def __post_init__(self) -> None:
-        if self.x not in self.menu:
-            raise RumkitError(
-                f"alternative index {self.x} is not in menu {self.menu}"
-            )
-
-    @property
-    def universe(self) -> Universe:
-        return self.menu.universe
-
-    @property
-    def mask(self) -> int:
-        return self.menu.mask
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.x, self.menu.mask)
-
-    def __str__(self) -> str:
-        return self.universe.describe_pair(self.x, self.mask)
 
 
 @dataclass(frozen=True)
@@ -282,25 +228,6 @@ def require_same_universe(a, b) -> None:
         )
 
 
-def in_contour_class(pref: Preference, pair: ContourPair) -> bool:
-    """True iff A is exactly the weak lower contour set of x under pref.
-
-    Equivalently: x is pref-best within A and everything outside A is
-    pref-better than x.
-    """
-    require_same_universe(pref, pair)
-    return pref.contour_menu_mask(pair.x) == pair.menu.mask
-
-
-def upper_contour_pairs(pref: Preference) -> tuple[ContourPair, ...]:
-    """The n pairs (x_k, {x_k, ..., x_n}) along the ranking, best first.
-
-    These are exactly the pairs whose contour class contains pref.
-    """
-    u = pref.universe
-    return tuple(ContourPair(x, Menu(u, mask)) for x, mask in pref.contour_keys())
-
-
 @dataclass(frozen=True)
 class Model:
     """A nonempty set of distinct preferences over one universe.
@@ -346,9 +273,15 @@ class Model:
         )
 
 
-def contour_class(model: Model, pair: ContourPair) -> tuple[Preference, ...]:
-    """The model members whose contour class membership matches pair."""
-    return tuple(p for p in model if in_contour_class(p, pair))
+def contour_class(model: Model, key: tuple[int, int]) -> tuple[Preference, ...]:
+    """The model members whose weak lower contour set of x is exactly A, for
+    the contour pair key = (x, A mask); a key off the lattice is refused."""
+    if key not in lattice(model.universe.n).index:
+        raise RumkitError(
+            f"{shown(key)} is not a contour pair on {model.universe.n} alternatives"
+        )
+    x, mask = key
+    return tuple(p for p in model if p.contour_menu_mask(x) == mask)
 
 
 def check_minimal_mutual_agreement(model: Model) -> bool:

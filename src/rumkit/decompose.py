@@ -13,17 +13,10 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from .core import (
-    ContourPair,
-    Menu,
-    Model,
-    Preference,
-    bits_of,
-    lattice,
-)
-from .errors import NotEdgeDecomposableError, RumkitError, WitnessError
+from .core import Model, Preference, bits_of, lattice, require_same_universe
+from .errors import NotEdgeDecomposableError, RumkitError, WitnessError, shown
 from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
@@ -36,23 +29,9 @@ from .stochastic import (
 
 
 @dataclass(frozen=True)
-class DecompositionWitness:
-    """An ordering of the model with, per position, a contour pair unique to it
-    among the remaining suffix."""
-
-    entries: tuple[tuple[Preference, ContourPair], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class DecompositionResult:
     decomposable: bool
-    witness: DecompositionWitness | None
+    witness: tuple[tuple[Preference, tuple[int, int]], ...] | None
     stuck: Model | None
 
     def __bool__(self) -> bool:
@@ -64,12 +43,14 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
 
     Preferences are scanned in canonical order and pairs in upper-contour
     order; the first removable hit is taken. Success returns the removal
-    order as a witness, failure returns the stuck submodel in which no member
-    has a pair unique to it.
+    order as the witness, a tuple of (preference, (x, A mask)) entries, each
+    key a contour pair unique to its preference among those not yet removed.
+    Failure returns the stuck submodel in which no member has a pair unique
+    to it.
     """
     remaining = list(model.preferences)
     cover = Counter(key for pref in remaining for key in pref.contour_keys())
-    entries: list[tuple[Preference, ContourPair]] = []
+    witness: list[tuple[Preference, tuple[int, int]]] = []
     universe = model.universe
     while remaining:
         hit = next(
@@ -83,24 +64,35 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
         )
         if hit is None:
             return DecompositionResult(False, None, Model.of(universe, remaining))
-        pref, (x, mask) = hit
-        entries.append((pref, ContourPair(x, Menu(universe, mask))))
+        pref, _ = hit
+        witness.append(hit)
         remaining.remove(pref)
         cover.subtract(pref.contour_keys())
-    return DecompositionResult(True, DecompositionWitness(tuple(entries)), None)
+    return DecompositionResult(True, tuple(witness), None)
 
 
-def validate_witness(model: Model, witness: DecompositionWitness) -> bool:
+def validate_witness(
+    model: Model, witness: Sequence[tuple[Preference, tuple[int, int]]]
+) -> bool:
     """Check the suffix-uniqueness condition at every witness position.
 
-    Raises WitnessError unless the witness covers the model exactly once.
+    The witness lists (preference, (x, A mask)) entries in removal order.
+    Raises WitnessError unless it covers the model exactly once with keys on
+    the model's lattice.
     """
     listed = [pref for pref, _ in witness]
     if sorted(listed, key=lambda p: p.ranking) != list(model.preferences):
         raise WitnessError("witness does not cover the model exactly once")
-    for i, (pref, pair) in enumerate(witness):
+    index = lattice(model.universe.n).index
+    for _, key in witness:
+        if key not in index:
+            raise WitnessError(
+                f"witness pair {shown(key)} is not a contour pair on "
+                f"{model.universe.n} alternatives"
+            )
+    for i, (pref, (x, mask)) in enumerate(witness):
         suffix = listed[i:]
-        members = [p for p in suffix if p.contour_menu_mask(pair.x) == pair.mask]
+        members = [p for p in suffix if p.contour_menu_mask(x) == mask]
         if members != [pref]:
             return False
     return True
@@ -159,12 +151,15 @@ def recover_distribution(
     sampled data); anything else means the data was not generated by this
     model and the status is failed.
     """
+    if not isinstance(data, (MobiusInverse, RandomChoiceRule)):
+        raise RumkitError(f"cannot recover from {type(data).__name__}")
+    require_same_universe(model, data)
     tol = as_fraction(tolerance)
     if tol < 0:
         raise RumkitError(f"tolerance must be >= 0, got {tol}")
     if isinstance(data, MobiusInverse):
         q = data
-    elif isinstance(data, RandomChoiceRule):
+    else:
         check = validate_rcr(data)
         if not check:
             raise RumkitError(
@@ -173,8 +168,6 @@ def recover_distribution(
                 f"{len(check.bad_menus)} menus with sum != 1"
             )
         q = mobius_inverse(data)
-    else:
-        raise RumkitError(f"cannot recover from {type(data).__name__}")
 
     dec = is_edge_decomposable(model)
     if not dec:
@@ -190,8 +183,8 @@ def recover_distribution(
     given = q.numerators
     assigned = [0] * len(given)
     peeled: dict[Preference, int] = {}
-    for pref, pair in dec.witness:
-        i = index[pair.key]
+    for pref, key in dec.witness:
+        i = index[key]
         value = given[i] - assigned[i]
         peeled[pref] = value
         for key in pref.contour_keys():

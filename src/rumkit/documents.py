@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import Model, Universe, lattice, preference_from_labels
+from .core import Model, Universe, bits_of, lattice, preference_from_labels
 from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
     PreferenceDistribution,
@@ -154,20 +154,20 @@ def dump_choice_data(
     index = lattice(universe.n).index
     entries = []
     for mask in range(1, universe.full_mask + 1):
-        menu = universe.menu(mask)
+        members = tuple(bits_of(mask))
         probabilities = {
             universe.labels[x]: str(
                 Fraction(rule.numerators[index[(x, mask)]], rule.denominator)
             )
-            for x in menu.members
+            for x in members
         }
         entry: dict[str, object] = {
-            "menu": list(menu.labels()),
+            "menu": list(universe.labels_of(mask)),
             "probabilities": probabilities,
         }
         if counts is not None:
             entry["counts"] = {
-                universe.labels[x]: counts.get((x, mask), 0) for x in menu.members
+                universe.labels[x]: counts.get((x, mask), 0) for x in members
             }
         entries.append(entry)
     doc: dict[str, object] = {
@@ -215,14 +215,16 @@ def parse_choice_data(doc: object) -> ChoiceData:
         if not isinstance(menu_labels, list):
             raise DocumentError(f"{where}.menu: expected a list of labels")
         try:
-            menu = universe.menu_of_labels(menu_labels)
+            mask = universe.menu_of_labels(menu_labels)
         except LabelError as exc:
             raise DocumentError(f"{where}.menu: {exc}") from None
-        if menu.mask == 0:
+        if mask == 0:
             raise DocumentError(f"{where}.menu: menus must be nonempty")
-        if menu.mask in seen_masks:
-            raise DocumentError(f"{where}.menu: menu {menu} appears twice")
-        seen_masks.add(menu.mask)
+        if mask in seen_masks:
+            raise DocumentError(
+                f"{where}.menu: menu {universe.describe_mask(mask)} appears twice"
+            )
+        seen_masks.add(mask)
         probs = entry.get("probabilities")
         if not isinstance(probs, dict):
             raise DocumentError(f"{where}.probabilities: expected an object")
@@ -231,13 +233,13 @@ def parse_choice_data(doc: object) -> ChoiceData:
                 raise DocumentError(
                     f"{where}.probabilities.{label}: {shown(label)} is not in the menu"
                 )
-        for x in menu.members:
+        for x in bits_of(mask):
             label = universe.labels[x]
             if label not in probs:
                 raise DocumentError(
                     f"{where}.probabilities: missing probability for {shown(label)}"
                 )
-            values[(x, menu.mask)] = _field_fraction(
+            values[(x, mask)] = _field_fraction(
                 probs[label], f"{where}.probabilities.{label}"
             )
         raw_counts = entry.get("counts")
@@ -256,19 +258,19 @@ def parse_choice_data(doc: object) -> ChoiceData:
                     raise DocumentError(
                         f"{where}.counts.{label}: expected a nonnegative integer"
                     )
-                counts[(universe.index(label), menu.mask)] = c
+                counts[(universe.index(label), mask)] = c
             total = sum(raw_counts.values())
             if total != trials:
                 raise DocumentError(
                     f"{where}.counts: counts sum to {total}, not trials = {trials}"
                 )
-            for x in menu.members:
+            for x in bits_of(mask):
                 label = universe.labels[x]
                 c = raw_counts.get(label, 0)
-                if Fraction(c, trials) != values[(x, menu.mask)]:
+                if Fraction(c, trials) != values[(x, mask)]:
                     raise DocumentError(
                         f"{where}.counts.{label}: {c}/{trials} is not the "
-                        f"probability {values[(x, menu.mask)]}"
+                        f"probability {values[(x, mask)]}"
                     )
 
     missing = [key for key in lattice(universe.n).keys if key not in values]

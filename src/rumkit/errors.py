@@ -45,4 +45,5 @@ class RecoveryError(RumkitError):
 
 
 class WitnessError(RumkitError):
-    """A decomposition witness does not cover the model bijectively."""
+    """A decomposition witness does not cover the model bijectively, or names a
+    pair off the lattice."""

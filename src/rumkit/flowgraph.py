@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    ContourPair,
-    Menu,
-    Preference,
-    Universe,
-    bits_of,
-    lattice,
-    require_same_universe,
-)
+from .core import Preference, Universe, bits_of, lattice, require_same_universe
 from .errors import RumkitError
 
 
@@ -247,7 +239,7 @@ def verify_spanning_tree(tree: SpanningTree, diagram: FlowDiagram) -> TreeCheck:
 
 def preference_basis(
     tree: SpanningTree, diagram: FlowDiagram
-) -> tuple[tuple[Preference, ContourPair], ...]:
+) -> tuple[tuple[Preference, tuple[int, int]], ...]:
     """One preference per non-tree edge, forming a basis of the circuit space.
 
     Sweep levels |A| = 1..n (nodes ascending, removed elements ascending).
@@ -255,9 +247,10 @@ def preference_basis(
     the full set down to A, traverse e, then complete the descent to the empty
     set, at each step removing the smallest-index element whose edge is in the
     tree or was added by an earlier iteration. Lower levels are complete by
-    then, so the completion never gets stuck. The emitted witness pair (x, A)
-    is covered for the first time by its own circuit, which is what makes the
-    reversed output a sequential decomposition witness.
+    then, so the completion never gets stuck. Each entry is (preference,
+    (x, A mask)): the witness pair is covered for the first time by its own
+    circuit, which is what makes the reversed output a sequential
+    decomposition witness.
     """
     check = verify_spanning_tree(tree, diagram)
     if not check:
@@ -270,7 +263,7 @@ def preference_basis(
     available = set(tree_edges)
     available.add(diagram.appended_edge_id)
 
-    basis: list[tuple[Preference, ContourPair]] = []
+    basis: list[tuple[Preference, tuple[int, int]]] = []
     # a stable sort of the canonical order by menu size keeps masks and then
     # removed elements ascending within each level
     for eid in sorted(range(len(pairs)), key=lambda e: pairs[e][1].bit_count()):
@@ -296,7 +289,5 @@ def preference_basis(
                 raise RumkitError(f"descent stuck below {universe.describe_mask(cur)}")
             ranking.append(y)
             cur ^= 1 << y
-        pref = Preference(universe, tuple(ranking))
-        witness = ContourPair(x, Menu(universe, mask))
-        basis.append((pref, witness))
+        basis.append((Preference(universe, tuple(ranking)), (x, mask)))
     return tuple(basis)

@@ -18,12 +18,7 @@ from typing import Sequence
 
 from .core import Model, Preference, lattice, require_vector_cap
 from .errors import RumkitError
-from .stochastic import (
-    PreferenceDistribution,
-    _contour_mass,
-    _superset_transform,
-    rcr_from_distribution,
-)
+from .stochastic import PreferenceDistribution, point_mass, rcr_from_distribution
 
 _PRESCREEN_PRIME = (1 << 61) - 1
 
@@ -42,13 +37,12 @@ def mobius_vector(pref: Preference) -> tuple[int, ...]:
 def rule_vector(pref: Preference) -> tuple[int, ...]:
     """0/1 vector with a one per nonempty menu, at that menu's best element.
 
-    The forward superset transform of the point mass on pref.
+    The rule induced by the point mass on pref: its denominator is 1, so its
+    numerators are the 0/1 vector.
     """
-    n = pref.universe.n
-    require_vector_cap(n)
-    coords = lattice(n)
-    numerators, _ = _contour_mass(coords, ((pref, 1),))
-    return tuple(_superset_transform(coords, numerators, 1))
+    require_vector_cap(pref.universe.n)
+    model = Model.of(pref.universe, [pref])
+    return rcr_from_distribution(point_mass(model, pref)).numerators
 
 
 def _eliminate(

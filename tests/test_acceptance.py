@@ -21,8 +21,6 @@ from conftest import (
     random_rule,
 )
 from rumkit import (
-    ContourPair,
-    DecompositionWitness,
     Model,
     MobiusInverse,
     NotCarumError,
@@ -101,7 +99,7 @@ def test_c03_maximal_basis():
             bound = max_identified_size(n)
             assert len(basis) == bound
             assert len({p.ranking for p, _ in basis}) == bound
-            witness_keys = {(pair.x, pair.mask) for _, pair in basis}
+            witness_keys = {key for _, key in basis}
             assert len(witness_keys) == bound
             tree_pairs = {
                 diagram.pairs[e]
@@ -112,8 +110,7 @@ def test_c03_maximal_basis():
             vectors = [mobius_vector(p) for p, _ in basis]
             assert rank(vectors) == bound
             model = Model.of(universe, [p for p, _ in basis])
-            witness = DecompositionWitness(tuple(reversed(basis)))
-            assert validate_witness(model, witness)
+            assert validate_witness(model, basis[::-1])
 
 
 def test_c04_full_rank_at_desk_scale():
@@ -168,8 +165,8 @@ def test_c07_shadowed_triple_intersections():
         u = model.universe
 
         def names(x_label, menu_labels):
-            cp = ContourPair(u.index(x_label), u.menu_of_labels(tuple(menu_labels)))
-            return {"".join(p.to_labels()) for p in contour_class(model, cp)}
+            key = (u.index(x_label), u.menu_of_labels(menu_labels))
+            return {"".join(p.to_labels()) for p in contour_class(model, key)}
 
         assert names("a", "abcd") == {"abcd", "abdc"}
         assert names("b", "bcd") == {"abcd", "abdc"}
@@ -177,9 +174,8 @@ def test_c07_shadowed_triple_intersections():
         assert names("c", "c") == {"badc", "abdc"}
         # no contour pair of the shadowed member is unique to it
         shadowed = next(p for p in model if "".join(p.to_labels()) == "abdc")
-        for x in shadowed.ranking:
-            cp = ContourPair(x, u.menu(shadowed.contour_menu_mask(x)))
-            assert len(contour_class(model, cp)) == 2
+        for key in shadowed.contour_keys():
+            assert len(contour_class(model, key)) == 2
         assert is_edge_decomposable(model)
 
 

@@ -77,6 +77,22 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("labels", ["abcd", "xyz"])
+    def test_recover_on_another_universe_is_input_error(self, capsys, tmp_path, labels):
+        # sizes differ, or the size matches and the labels differ
+        u = Universe.from_labels(labels)
+        save_model(rumkit.latin_square(rumkit.Preference(u, tuple(range(u.n)))), tmp_path / "m.json")
+        data_model = rumkit.latin_square(rumkit.Preference(Universe.of_size(3), (0, 1, 2)))
+        rule = rcr_from_distribution(rumkit.point_mass(data_model, data_model.preferences[0]))
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps(dump_choice_data(rule)), encoding="utf-8")
+        code, out, err = run(
+            capsys, "recover", "--model", str(tmp_path / "m.json"), "--data", str(data)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bound_capped_at_the_digit_limit(self, capsys):
         assert run(capsys, "bound", "-n", "1558")[0] == 0
         for n in ("1559", "1000000000"):

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from rumkit import (
-    ContourPair,
     LabelError,
-    Menu,
     Model,
     Preference,
     RumkitError,
     Universe,
-    UniverseMismatchError,
     all_preferences,
     check_minimal_mutual_agreement,
-    in_contour_class,
+    contour_class,
     lattice,
     preference_from_labels,
-    upper_contour_pairs,
 )
 from rumkit.errors import shown
 
@@ -47,10 +43,13 @@ def brute_in_class(pref: Preference, x: int, menu_mask: int) -> bool:
     return True
 
 
-def pair(universe: Universe, x_label: str, menu_labels: str) -> ContourPair:
-    return ContourPair(
-        universe.index(x_label), universe.menu_of_labels(tuple(menu_labels))
-    )
+def pair(universe: Universe, x_label: str, menu_labels: str) -> tuple[int, int]:
+    return (universe.index(x_label), universe.menu_of_labels(menu_labels))
+
+
+def in_class(pref: Preference, key: tuple[int, int]) -> bool:
+    x, mask = key
+    return pref.contour_menu_mask(x) == mask
 
 
 class TestPreferenceFromLabels:
@@ -78,65 +77,70 @@ class TestPreferenceFromLabels:
 class TestContourClass:
     def test_top_element_full_menu(self):
         p = preference_from_labels(U3, "abc")
-        assert in_contour_class(p, pair(U3, "a", "abc"))
+        assert in_class(p, pair(U3, "a", "abc"))
 
     def test_forced_by_definition(self):
         p = preference_from_labels(U3, "abc")
-        assert in_contour_class(p, pair(U3, "b", "bc"))
-        assert not in_contour_class(p, pair(U3, "b", "abc"))
+        assert in_class(p, pair(U3, "b", "bc"))
+        assert not in_class(p, pair(U3, "b", "abc"))
 
     def test_badc_contour_positions(self):
         # expected values computed with the pairwise-definition oracle:
         # under b>a>d>c the weak lower contour set of d is {c,d}, of c is {c}
         p = preference_from_labels(U4, "badc")
         d, c = U4.index("d"), U4.index("c")
-        cd = U4.menu_of_labels("cd").mask
+        cd = U4.menu_of_labels("cd")
         assert brute_in_class(p, d, cd) is True
-        assert in_contour_class(p, pair(U4, "d", "cd"))
+        assert in_class(p, pair(U4, "d", "cd"))
         assert brute_in_class(p, c, cd) is False
-        assert not in_contour_class(p, pair(U4, "c", "cd"))
-        assert not in_contour_class(p, pair(U4, "d", "d"))
-        assert in_contour_class(p, pair(U4, "c", "c"))
-
-    def test_universe_mismatch(self):
-        p = preference_from_labels(U3, "abc")
-        with pytest.raises(UniverseMismatchError):
-            in_contour_class(p, pair(U4, "a", "abcd"))
+        assert not in_class(p, pair(U4, "c", "cd"))
+        assert not in_class(p, pair(U4, "d", "d"))
+        assert in_class(p, pair(U4, "c", "c"))
 
     def test_agrees_with_bruteforce_everywhere(self):
         for p in all_preferences(U4):
             for x, mask in lattice(4).keys:
-                got = in_contour_class(p, ContourPair(x, Menu(U4, mask)))
-                assert got == brute_in_class(p, x, mask)
+                assert in_class(p, (x, mask)) == brute_in_class(p, x, mask)
+
+    def test_model_class_agrees_with_bruteforce(self):
+        model = Model.of(U4, all_preferences(U4))
+        for x, mask in lattice(4).keys:
+            expected = tuple(p for p in model if brute_in_class(p, x, mask))
+            assert contour_class(model, (x, mask)) == expected
+
+    @pytest.mark.parametrize("key", [(4, 0b1111), (0, 0b10001), (1, 0b101), (0, 0)])
+    def test_off_lattice_key_refused(self, key):
+        model = Model.of(U4, [preference_from_labels(U4, "abcd")])
+        with pytest.raises(RumkitError, match=re.escape(str(key))):
+            contour_class(model, key)
 
 
 class TestUpperContourPairs:
+    """Preference.contour_keys(): the pairs whose contour class holds pref."""
+
     def test_two_alternatives(self):
         p = preference_from_labels(U2, "ab")
-        keys = [(c.x, c.mask) for c in upper_contour_pairs(p)]
-        assert keys == [(0, 0b11), (1, 0b10)]
+        assert list(p.contour_keys()) == [(0, 0b11), (1, 0b10)]
 
     def test_four_alternatives_first_pair(self):
         p = preference_from_labels(U4, "abcd")
-        pairs = upper_contour_pairs(p)
-        assert len(pairs) == 4
-        assert pairs[0].x == 0 and pairs[0].mask == U4.full_mask
+        keys = list(p.contour_keys())
+        assert len(keys) == 4
+        assert keys[0] == (0, U4.full_mask)
 
     def test_exactly_the_pairs_in_class(self):
         for p in all_preferences(U3):
             member_keys = {
-                (x, mask)
-                for x, mask in lattice(3).keys
-                if in_contour_class(p, ContourPair(x, Menu(U3, mask)))
+                (x, mask) for x, mask in lattice(3).keys if brute_in_class(p, x, mask)
             }
-            assert member_keys == {(c.x, c.mask) for c in upper_contour_pairs(p)}
+            assert member_keys == set(p.contour_keys())
             assert len(member_keys) == 3
 
     def test_one_best_per_contour_menu(self):
         for p in all_preferences(U4):
             seen: dict[int, int] = {}
             for x, mask in lattice(4).keys:
-                if in_contour_class(p, ContourPair(x, Menu(U4, mask))):
+                if in_class(p, (x, mask)):
                     assert seen.setdefault(mask, x) == x
 
 
@@ -335,9 +339,9 @@ class TestUniverse:
 
     def test_describe_pair(self):
         assert U3.describe_pair(1, 0b110) == "(b, {b,c})"
-        assert str(ContourPair(1, Menu(U3, 0b110))) == "(b, {b,c})"
 
     def test_menu_of_labels(self):
-        menu = U3.menu_of_labels(["a", "c"])
-        assert menu.mask == 0b101
-        assert menu.labels() == ("a", "c")
+        mask = U3.menu_of_labels(["a", "c"])
+        assert mask == 0b101
+        assert U3.labels_of(mask) == ("a", "c")
+        assert U3.describe_mask(mask) == "{a,c}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -8,7 +9,6 @@ import pytest
 
 from conftest import random_distribution, random_model
 from rumkit import (
-    DecompositionWitness,
     Model,
     NotEdgeDecomposableError,
     Preference,
@@ -16,6 +16,7 @@ from rumkit import (
     RecoveryStatus,
     RumkitError,
     Universe,
+    UniverseMismatchError,
     WitnessError,
     all_preferences,
     build_diagram,
@@ -23,7 +24,6 @@ from rumkit import (
     double_cover_model,
     extend_edge_decomposable,
     fishburn_model,
-    in_contour_class,
     is_edge_decomposable,
     is_identified,
     latin_square,
@@ -36,7 +36,6 @@ from rumkit import (
     recover_distribution,
     sample_empirical_rule,
     shadowed_triple_model,
-    upper_contour_pairs,
     validate_witness,
 )
 
@@ -49,8 +48,8 @@ def brute_decomposable(model: Model) -> bool:
         for subset in combinations(prefs, size):
             ok = False
             for pref in subset:
-                for cp in upper_contour_pairs(pref):
-                    members = [p for p in subset if in_contour_class(p, cp)]
+                for x, mask in pref.contour_keys():
+                    members = [p for p in subset if p.contour_menu_mask(x) == mask]
                     if members == [pref]:
                         ok = True
                         break
@@ -67,8 +66,8 @@ def peel_reversed(model: Model) -> bool:
     while remaining:
         hit = None
         for pref in reversed(remaining):
-            for cp in reversed(upper_contour_pairs(pref)):
-                members = [p for p in remaining if in_contour_class(p, cp)]
+            for x, mask in reversed(tuple(pref.contour_keys())):
+                members = [p for p in remaining if p.contour_menu_mask(x) == mask]
                 if members == [pref]:
                     hit = pref
                     break
@@ -135,21 +134,27 @@ class TestValidateWitness:
         d = build_diagram(u)
         basis = preference_basis(directed_spanning_tree(d), d)
         m = Model.of(u, [p for p, _ in basis])
-        witness = DecompositionWitness(tuple(reversed(basis)))
-        assert validate_witness(m, witness)
+        assert validate_witness(m, basis[::-1])
 
     def test_swapped_entries_fail_suffix_uniqueness(self):
         m = shadowed_triple_model()
         res = is_edge_decomposable(m)
-        entries = list(res.witness.entries)
+        entries = list(res.witness)
         entries[0], entries[1] = entries[1], entries[0]
-        assert not validate_witness(m, DecompositionWitness(tuple(entries)))
+        assert not validate_witness(m, entries)
 
     def test_coverage_mismatch_raises(self):
         m = shadowed_triple_model()
         res = is_edge_decomposable(m)
         with pytest.raises(WitnessError):
-            validate_witness(m, DecompositionWitness(res.witness.entries[:-1]))
+            validate_witness(m, res.witness[:-1])
+
+    @pytest.mark.parametrize("key", [(3, 0b111), (0, 0b1001), (1, 0b101)])
+    def test_off_lattice_key_raises(self, key):
+        m = latin_square(Preference(Universe.of_size(3), (0, 1, 2)))
+        (pref, _), *rest = is_edge_decomposable(m).witness
+        with pytest.raises(WitnessError, match=re.escape(str(key))):
+            validate_witness(m, [(pref, key), *rest])
 
 
 class TestRecoverDistribution:
@@ -187,6 +192,18 @@ class TestRecoverDistribution:
         report = recover_distribution(m, data)
         assert report.status is RecoveryStatus.FAILED
         assert report.residual
+
+    @pytest.mark.parametrize("labels", ["abcd", "xyz"])
+    def test_data_on_another_universe_raises(self, labels):
+        # sizes differ, or the size matches and the labels differ
+        u = Universe.from_labels(labels)
+        m = latin_square(Preference(u, tuple(range(u.n))))
+        data_model = latin_square(Preference(Universe.of_size(3), (0, 1, 2)))
+        data = rcr_from_distribution(point_mass(data_model, data_model.preferences[0]))
+        with pytest.raises(UniverseMismatchError):
+            recover_distribution(m, data)
+        with pytest.raises(UniverseMismatchError):
+            recover_distribution(m, mobius_inverse(data))
 
     def test_not_decomposable_raises(self):
         m = fishburn_model()

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_distribution, random_model
 from rumkit import (
     CapExceededError,
-    ContourPair,
     Model,
     NotCarumError,
     Preference,
@@ -44,10 +43,8 @@ def brute_single_crossing(model: Model, order: Preference) -> bool:
     return False
 
 
-def pair(universe: Universe, x_label: str, menu_labels: str) -> ContourPair:
-    return ContourPair(
-        universe.index(x_label), universe.menu_of_labels(tuple(menu_labels))
-    )
+def pair(universe: Universe, x_label: str, menu_labels: str) -> tuple[int, int]:
+    return (universe.index(x_label), universe.menu_of_labels(menu_labels))
 
 
 class TestCheckSingleCrossing:

@@ -67,8 +67,8 @@ class TestCircuits:
         circuit = preference_to_circuit(p, d)
         nodes = [d.edge_endpoints(e)[0] for e in circuit.edges]
         # X -> {y,z} -> {z} -> (empty) -> X
-        yz = u.menu_of_labels("yz").mask
-        z = u.menu_of_labels("z").mask
+        yz = u.menu_of_labels("yz")
+        z = u.menu_of_labels("z")
         assert nodes == [u.full_mask, yz, z, 0]
         assert d.edge_endpoints(circuit.edges[-1]) == (0, u.full_mask)
 
@@ -183,13 +183,13 @@ class TestPreferenceBasis:
         basis = preference_basis(directed_spanning_tree(d), d)
         assert len(basis) == 18
         assert len({p.ranking for p, _ in basis}) == 18
-        witness_keys = {(pair.x, pair.mask) for _, pair in basis}
+        witness_keys = {key for _, key in basis}
         assert len(witness_keys) == 18
         tree_edges = directed_spanning_tree(d).tree_edges
-        for _, pair in basis:
-            assert d.edge_id(pair.x, pair.mask) not in tree_edges
-        for pref, pair in basis:
-            assert pref.contour_menu_mask(pair.x) == pair.mask
+        for _, (x, mask) in basis:
+            assert d.edge_id(x, mask) not in tree_edges
+        for pref, (x, mask) in basis:
+            assert pref.contour_menu_mask(x) == mask
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_size_matches_cyclomatic_number(self, n):

@@ -18,8 +18,6 @@ from conftest import (
     random_rule,
 )
 from rumkit import (
-    ContourPair,
-    Menu,
     Model,
     MobiusInverse,
     Preference,
@@ -35,7 +33,6 @@ from rumkit import (
     double_cover_model,
     fishburn_distributions,
     flow_conservation_check,
-    in_contour_class,
     lattice,
     mobius_forward,
     mobius_inverse,
@@ -55,16 +52,14 @@ U3 = Universe(("x", "y", "z"))
 
 
 def key(universe: Universe, x_label: str, menu_labels: str) -> tuple[int, int]:
-    return (universe.index(x_label), universe.menu_of_labels(tuple(menu_labels)).mask)
+    return (universe.index(x_label), universe.menu_of_labels(menu_labels))
 
 
 def mass_of_class(dist: PreferenceDistribution, x: int, mask: int) -> Fraction:
     """Independent oracle: summed mass of the pair's contour class members."""
     total = Fraction(0)
-    universe = dist.universe
-    cp = ContourPair(x, Menu(universe, mask))
     for pref, m in dist.entries:
-        if in_contour_class(pref, cp):
+        if pref.contour_menu_mask(x) == mask:
             total += m
     return total
 
