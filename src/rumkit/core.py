@@ -125,6 +125,23 @@ class Universe:
     def describe_mask(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"
 
+    def require_pair(
+        self, key: object, error: type[RumkitError] = RumkitError
+    ) -> tuple[int, int]:
+        """key as a contour pair (x, A mask) on this universe, checked by
+        arithmetic alone; anything else raises error naming the key."""
+        if isinstance(key, tuple) and len(key) == 2:
+            x, mask = key
+            if (
+                isinstance(x, int)
+                and isinstance(mask, int)
+                and 0 <= x < self.n
+                and 0 < mask <= self.full_mask
+                and mask >> x & 1
+            ):
+                return key
+        raise error(f"{shown(key)} is not a contour pair on {self.n} alternatives")
+
     def describe_pair(self, x: int, mask: int) -> str:
         """The contour pair (x, A) as text, like (a, {a,b})."""
         return f"({self.labels[x]}, {self.describe_mask(mask)})"
@@ -275,12 +292,9 @@ class Model:
 
 def contour_class(model: Model, key: tuple[int, int]) -> tuple[Preference, ...]:
     """The model members whose weak lower contour set of x is exactly A, for
-    the contour pair key = (x, A mask); a key off the lattice is refused."""
-    if key not in lattice(model.universe.n).index:
-        raise RumkitError(
-            f"{shown(key)} is not a contour pair on {model.universe.n} alternatives"
-        )
-    x, mask = key
+    the contour pair key = (x, A mask); any other key is refused. Builds no
+    lattice, so no cap applies."""
+    x, mask = model.universe.require_pair(key)
     return tuple(p for p in model if p.contour_menu_mask(x) == mask)
 
 

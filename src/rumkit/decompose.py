@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .core import Model, Preference, bits_of, lattice, require_same_universe
-from .errors import NotEdgeDecomposableError, RumkitError, WitnessError, shown
+from .errors import NotEdgeDecomposableError, RumkitError, WitnessError
 from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
@@ -77,19 +77,15 @@ def validate_witness(
     """Check the suffix-uniqueness condition at every witness position.
 
     The witness lists (preference, (x, A mask)) entries in removal order.
-    Raises WitnessError unless it covers the model exactly once with keys on
-    the model's lattice.
+    Raises WitnessError unless it covers the model exactly once and every key
+    is a contour pair on the model's universe; the keys are checked by
+    arithmetic, so no lattice is built and no cap applies.
     """
     listed = [pref for pref, _ in witness]
     if sorted(listed, key=lambda p: p.ranking) != list(model.preferences):
         raise WitnessError("witness does not cover the model exactly once")
-    index = lattice(model.universe.n).index
     for _, key in witness:
-        if key not in index:
-            raise WitnessError(
-                f"witness pair {shown(key)} is not a contour pair on "
-                f"{model.universe.n} alternatives"
-            )
+        model.universe.require_pair(key, WitnessError)
     for i, (pref, (x, mask)) in enumerate(witness):
         suffix = listed[i:]
         members = [p for p in suffix if p.contour_menu_mask(x) == mask]

@@ -108,11 +108,22 @@ class TestContourClass:
             expected = tuple(p for p in model if brute_in_class(p, x, mask))
             assert contour_class(model, (x, mask)) == expected
 
-    @pytest.mark.parametrize("key", [(4, 0b1111), (0, 0b10001), (1, 0b101), (0, 0)])
+    @pytest.mark.parametrize(
+        "key", [(4, 0b1111), (0, 0b10001), (1, 0b101), (0, 0), (-1, 0b1111), [0, 0b1111]]
+    )
     def test_off_lattice_key_refused(self, key):
         model = Model.of(U4, [preference_from_labels(U4, "abcd")])
         with pytest.raises(RumkitError, match=re.escape(str(key))):
             contour_class(model, key)
+
+    def test_key_checked_without_the_lattice(self, monkeypatch):
+        from rumkit.core import CAP_ENV_VAR
+
+        model = Model.of(U4, all_preferences(U4))
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        for x, mask in [(0, 0b1111), (2, 0b0110), (3, 0b1000)]:
+            expected = tuple(p for p in model if brute_in_class(p, x, mask))
+            assert contour_class(model, (x, mask)) == expected
 
 
 class TestUpperContourPairs:

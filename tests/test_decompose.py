@@ -149,12 +149,20 @@ class TestValidateWitness:
         with pytest.raises(WitnessError):
             validate_witness(m, res.witness[:-1])
 
-    @pytest.mark.parametrize("key", [(3, 0b111), (0, 0b1001), (1, 0b101)])
+    @pytest.mark.parametrize("key", [(3, 0b111), (0, 0b1001), (1, 0b101), [0, 0b111]])
     def test_off_lattice_key_raises(self, key):
         m = latin_square(Preference(Universe.of_size(3), (0, 1, 2)))
         (pref, _), *rest = is_edge_decomposable(m).witness
         with pytest.raises(WitnessError, match=re.escape(str(key))):
             validate_witness(m, [(pref, key), *rest])
+
+    def test_keys_checked_without_the_lattice(self, monkeypatch):
+        from rumkit.core import CAP_ENV_VAR
+
+        m = latin_square(Preference(Universe.of_size(4), (0, 1, 2, 3)))
+        witness = is_edge_decomposable(m).witness
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert validate_witness(m, witness)
 
 
 class TestRecoverDistribution:
