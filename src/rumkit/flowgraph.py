@@ -12,7 +12,7 @@ repeated runs produce identical trees and bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Preference, Universe, bits_of, lattice, require_same_universe
 from .errors import RumkitError
@@ -24,11 +24,14 @@ class FlowDiagram:
 
     Contour edges are materialized in canonical coordinate order; when the
     diagram is appended, the loop edge gets the final edge id len(pairs).
+    index maps a pair to its edge id. Both come from lattice(n) when the
+    diagram is built, so the lattice cap is checked then, not per edge.
     """
 
     universe: Universe
     appended: bool
     pairs: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -45,7 +48,7 @@ class FlowDiagram:
         return len(self.pairs)
 
     def edge_id(self, x: int, mask: int) -> int:
-        return lattice(self.universe.n).index[(x, mask)]
+        return self.index[(x, mask)]
 
     def edge_endpoints(self, edge_id: int) -> tuple[int, int]:
         """(source mask, destination mask) of an edge id."""
@@ -62,7 +65,8 @@ class FlowDiagram:
 
 def build_diagram(universe: Universe, appended: bool = True) -> FlowDiagram:
     """Materialize all n * 2^(n-1) contour edges (plus the loop if appended)."""
-    return FlowDiagram(universe, appended, lattice(universe.n).keys)
+    coords = lattice(universe.n)
+    return FlowDiagram(universe, appended, coords.keys, coords.index)
 
 
 def cyclomatic_number(diagram: FlowDiagram) -> int:

@@ -4,23 +4,24 @@ A model is identified exactly when the Mobius vectors of its preferences are
 linearly independent. Each vector is a minimal circuit of the flow diagram: n
 ones among n * 2^(n-1) coordinates. One sparse routine, structured Gaussian
 elimination (LaMacchia and Odlyzko, 1990), does every rank and nullspace
-computation, over GF(p) or exactly over the rationals. A screen mod p may
-certify full rank but never a deficiency; a negative answer is always backed
-by an exact nullspace certificate carrying two distinct distributions that
-induce the same rule.
+computation exactly, fraction-free over the integers. A screen over GF(2),
+which reduces each circuit as an int with one bit per coordinate, may certify
+full rank but never a deficiency; a negative answer is always backed by an
+exact nullspace certificate carrying two distinct distributions that induce
+the same rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import compress, count
+from typing import Iterable, Sequence
 
 from .core import Model, Preference, lattice, require_vector_cap
 from .errors import RumkitError
 from .stochastic import PreferenceDistribution, point_mass, rcr_from_distribution
-
-_PRESCREEN_PRIME = (1 << 61) - 1
 
 
 def mobius_vector(pref: Preference) -> tuple[int, ...]:
@@ -45,62 +46,102 @@ def rule_vector(pref: Preference) -> tuple[int, ...]:
     return rcr_from_distribution(point_mass(model, pref)).numerators
 
 
-def _eliminate(
-    rows: Sequence[dict[int, Fraction | int]], prime: int | None = None
-) -> tuple[int, dict[int, Fraction | int] | None]:
-    """Structured Gaussian elimination on sparse rows ({coordinate: value}).
+def _screen(rows: Iterable[int]) -> bool:
+    """True when the bit rows are independent over GF(2).
 
-    Rows are reduced in the given order, over GF(prime), or exactly over Q
-    when prime is None. Each row that stays nonzero becomes the pivot of its
-    smallest coordinate, scaled so that entry is 1. Every row carries its
-    combination of input rows, so the first row to reduce to zero yields a
-    dependency {row index: coefficient} with coefficient 1 on that row; its
-    predecessors are independent, so that dependency is the unique one.
-    Returns the rank and that dependency, or None when the rows are
-    independent.
+    Each row is an int with one bit per coordinate. Rows are reduced by XOR,
+    pivoting on their highest set bit, and the first row to reduce to zero
+    ends the screen. Independence mod 2 proves independence over Q: some
+    maximal minor is odd, so it is nonzero. A dependency mod 2 proves
+    nothing.
     """
-    pivots: dict[int, tuple[dict, dict]] = {}
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+        else:
+            return False
+    return True
+
+
+def _eliminate(
+    rows: Sequence[dict[int, int]],
+) -> tuple[int, dict[int, Fraction] | None]:
+    """Structured Gaussian elimination over Z on sparse rows ({coordinate: value}).
+
+    Rows are reduced in the given order, fraction-free: a row meeting the
+    pivot of its largest coordinate becomes a * row - b * pivot, with b/a
+    the ratio of the two leading entries in lowest terms. Every row carries
+    its combination of input rows; a row that stays nonzero becomes a pivot
+    once it and its combination are divided by their content gcd, signed so
+    that the leading entry is positive. The first row to reduce to zero
+    yields a dependency {row index: coefficient}, scaled to coefficient 1 on
+    that row; its predecessors are independent, so that dependency is the
+    unique one. Fractions are made only there. Returns the rank and that
+    dependency, or None when the rows are independent.
+    """
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     dependency = None
     for i, row in enumerate(rows):
-        if prime is not None:
-            row = {c: v % prime for c, v in row.items()}
         row = {c: v for c, v in row.items() if v}
-        combo = {i: Fraction(1) if prime is None else 1}
+        combo = {i: 1}
         while row:
-            lead = min(row)
-            if lead not in pivots:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
                 break
-            factor = row[lead]
-            for target, source in zip((row, combo), pivots[lead]):
+            a, b = pivot[0][lead], row[lead]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            for target, source in zip((row, combo), pivot):
+                if a != 1:
+                    for c in target:
+                        target[c] *= a
                 for c, v in source.items():
-                    value = target.get(c, 0) - factor * v
-                    if prime is not None:
-                        value %= prime
+                    value = target.get(c, 0) - b * v
                     if value:
                         target[c] = value
                     else:
-                        target.pop(c, None)
+                        del target[c]
         if not row:
             if dependency is None:
-                dependency = combo
+                own = combo[i]
+                dependency = {j: Fraction(v, own) for j, v in combo.items()}
             continue
-        scale = 1 / Fraction(row[lead]) if prime is None else pow(row[lead], -1, prime)
-        for target in (row, combo):
-            for c, v in target.items():
-                target[c] = v * scale if prime is None else v * scale % prime
+        g = math.gcd(*row.values(), *combo.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            for target in (row, combo):
+                for c in target:
+                    target[c] //= g
         pivots[lead] = (row, combo)
     return len(pivots), dependency
 
 
-def rank(vectors: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals of equal-length vectors."""
+def rank(vectors: Iterable[Sequence]) -> int:
+    """Exact rank over the rationals of equal-length vectors.
+
+    Entries are anything Fraction accepts; each row is scaled by the lcm of
+    its denominators into integers before the elimination. The vectors are
+    read once, in order, and only their nonzero entries are kept, so they
+    may come from a generator.
+    """
     rows = []
+    length = None
     for vec in vectors:
-        if len(vec) != len(vectors[0]):
-            raise RumkitError(
-                f"vectors have mixed lengths {len(vectors[0])} and {len(vec)}"
-            )
-        rows.append({c: Fraction(v) for c, v in enumerate(vec) if v})
+        if length is None:
+            length = len(vec)
+        elif len(vec) != length:
+            raise RumkitError(f"vectors have mixed lengths {length} and {len(vec)}")
+        entries = {c: Fraction(vec[c]) for c in compress(count(), vec)}
+        scale = math.lcm(*(f.denominator for f in entries.values()))
+        rows.append({c: f.numerator * (scale // f.denominator) for c, f in entries.items()})
     return _eliminate(rows)[0]
 
 
@@ -153,22 +194,21 @@ def _certificate(model: Model, coeffs: dict[int, Fraction]) -> NullspaceCertific
 def is_identified(model: Model) -> IdentificationResult:
     """Decide identification on Mobius vectors; certify any failure.
 
-    The preferences' circuits go as sparse rows, in model order, through one
-    elimination routine. Run mod p it screens: full rank mod p certifies full
-    rational rank (rank mod p never exceeds it), but a dependency found mod p
-    is never a certificate. When the screen fails, the exact rank decides,
-    and the exact elimination's first dependency, the unique combination of
-    the first preference whose vector depends on the ones before it, gives
-    the certificate.
+    The preferences' circuits, in model order, are first screened over GF(2)
+    as bit rows: independence mod 2 certifies independence over Q, but a
+    dependency mod 2 is never a certificate. When the screen fails, the exact
+    rank decides, and the integer elimination's first dependency, the unique
+    combination of the first preference whose vector depends on the ones
+    before it, gives the certificate.
     """
     n = model.universe.n
     require_vector_cap(n)
     index = lattice(n).index
+    if _screen(sum(1 << index[key] for key in pref.contour_keys()) for pref in model):
+        return IdentificationResult(True, None)
+    if rank(mobius_vector(pref) for pref in model) == len(model):
+        return IdentificationResult(True, None)
     rows = [{index[key]: 1 for key in pref.contour_keys()} for pref in model]
-    if _eliminate(rows, _PRESCREEN_PRIME)[0] == len(rows):
-        return IdentificationResult(True, None)
-    if rank([mobius_vector(pref) for pref in model]) == len(rows):
-        return IdentificationResult(True, None)
     return IdentificationResult(False, _certificate(model, _eliminate(rows)[1]))
 
 

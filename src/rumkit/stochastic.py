@@ -24,7 +24,7 @@ import operator
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -85,11 +85,14 @@ class _PairTable:
     positive denominator, reduced so that the numerators and the denominator
     share no factor: equal tables have equal fields. Fractions are made only
     at the API edge (value, [], items, values); the library reads numerators.
+    The table keeps its coordinates, fetched once when it is built, so the
+    lattice cap is checked then and not again per entry.
     """
 
     universe: Universe
     numerators: tuple[int, ...]
     denominator: int
+    _coords: Lattice = field(repr=False, compare=False)
 
     def __init__(
         self, universe: Universe, values: Mapping[tuple[int, int], RationalLike]
@@ -125,10 +128,10 @@ class _PairTable:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "numerators", tuple(numerators))
         object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_coords", lattice(universe.n))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        index = lattice(self.universe.n).index
-        return Fraction(self.numerators[index[key]], self.denominator)
+        return Fraction(self.numerators[self._coords.index[key]], self.denominator)
 
     def value(self, x: int, mask: int) -> Fraction:
         return self[(x, mask)]
@@ -136,8 +139,7 @@ class _PairTable:
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Entries in canonical coordinate order."""
         d = self.denominator
-        keys = lattice(self.universe.n).keys
-        return ((key, Fraction(v, d)) for key, v in zip(keys, self.numerators))
+        return ((key, Fraction(v, d)) for key, v in zip(self._coords.keys, self.numerators))
 
     @property
     def values(self) -> dict[tuple[int, int], Fraction]:

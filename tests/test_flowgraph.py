@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from rumkit import (
+    CapExceededError,
     Circuit,
     RumkitError,
     SpanningTree,
@@ -18,6 +19,7 @@ from rumkit import (
     preference_from_labels,
     verify_spanning_tree,
 )
+from rumkit.core import CAP_ENV_VAR
 
 
 class TestBuildDiagram:
@@ -36,6 +38,16 @@ class TestBuildDiagram:
         assert d.edge_count == 2
         assert d.edge_endpoints(0) == (1, 0)
         assert d.edge_endpoints(d.appended_edge_id) == (0, 1)
+
+
+    def test_edge_ids_read_without_the_cap(self, monkeypatch):
+        # the lattice cap is checked when the diagram is built, not per edge
+        u = Universe.of_size(4)
+        d = build_diagram(u)
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert [d.edge_id(*pair) for pair in d.pairs] == list(range(len(d.pairs)))
+        with pytest.raises(CapExceededError):
+            build_diagram(u)
 
 
 class TestCyclomaticNumber:

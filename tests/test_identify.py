@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nullspace_vector, random_model
+from conftest import best_element_rule, nullspace_vector, random_model
 from rumkit import (
     Model,
     Preference,
@@ -16,6 +16,7 @@ from rumkit import (
     double_cover_model,
     fishburn_distributions,
     fishburn_model,
+    fixtures,
     is_identified,
     lattice,
     max_identified_size,
@@ -28,6 +29,8 @@ from rumkit import (
     rcr_from_distribution,
     rule_vector,
 )
+from rumkit import identify
+from rumkit.identify import _eliminate, _screen
 
 
 def rank_oracle(vectors) -> int:
@@ -52,6 +55,55 @@ def rank_oracle(vectors) -> int:
         if r == len(rows):
             break
     return r
+
+
+def rank_mod2(vectors) -> int:
+    """Dense row reduction over GF(2), independent of the bit-row screen."""
+    rows = [[v % 2 for v in vec] for vec in vectors]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def bit_rows(model: Model) -> list[int]:
+    """The model's circuits as the screen reads them: one bit per pair."""
+    index = lattice(model.universe.n).index
+    return [sum(1 << index[key] for key in p.contour_keys()) for p in model]
+
+
+def with_swap_square(rng, model: Model) -> Model:
+    """model plus a ranking r and its variants by two disjoint adjacent swaps.
+
+    The four circuits satisfy r + r_both = r_first + r_second (the Fishburn
+    square), so the result is never identified.
+    """
+    n = model.universe.n
+    ranking = list(range(n))
+    rng.shuffle(ranking)
+    i = rng.randrange(n - 3)
+    j = rng.randrange(i + 2, n - 1)
+
+    def swapped(*positions):
+        r = list(ranking)
+        for k in positions:
+            r[k], r[k + 1] = r[k + 1], r[k]
+        return tuple(r)
+
+    square = [swapped(), swapped(i), swapped(j), swapped(i, j)]
+    chosen = {p.ranking: p for p in model}
+    for r in square:
+        chosen.setdefault(r, Preference(model.universe, r))
+    prefs = list(chosen.values())
+    rng.shuffle(prefs)
+    return Model.of(model.universe, prefs)
 
 
 class TestVectors:
@@ -128,11 +180,98 @@ class TestRank:
         with pytest.raises(RumkitError):
             rank([(1, 0), (1, 0, 0)])
 
+    def test_small_determinants(self):
+        assert rank([(2,)]) == 1
+        # determinant 2: singular mod 2, regular over Q
+        assert rank([(1, 1), (1, 3)]) == 2
+
+    def test_matches_oracle_on_large_rationals(self, rng):
+        big, den = 10**20, 10**6
+        for _ in range(40):
+            nrows = rng.randrange(1, 7)
+            ncols = rng.randrange(1, 7)
+            mat = [
+                [
+                    Fraction(rng.randrange(-big, big + 1), rng.randrange(1, den + 1))
+                    if rng.random() < 0.8
+                    else Fraction(0)
+                    for _ in range(ncols)
+                ]
+                for _ in range(nrows)
+            ]
+            if rng.random() < 0.5 and nrows >= 2:
+                # force a rational multiple of an earlier row
+                k = rng.randrange(nrows - 1)
+                factor = Fraction(rng.randrange(-big, big + 1) or 1, rng.randrange(1, den + 1))
+                mat[-1] = [factor * v for v in mat[k]]
+            assert rank(mat) == rank_oracle(mat)
+
+    def test_dependency_matches_nullspace_oracle(self, rng):
+        big = 10**20
+        for _ in range(40):
+            nrows = rng.randrange(2, 7)
+            ncols = rng.randrange(1, 7)
+            mat = [
+                [rng.randrange(-big, big + 1) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            # the last row is an integer combination of earlier ones, so
+            # some row depends on its predecessors
+            weights = [rng.randrange(-5, 6) for _ in range(nrows - 1)]
+            mat[-1] = [sum(w * vec[c] for w, vec in zip(weights, mat)) for c in range(ncols)]
+            rows = [{c: v for c, v in enumerate(vec) if v} for vec in mat]
+            rk, dependency = _eliminate(rows)
+            assert rk == rank_oracle(mat) < nrows
+            oracle = nullspace_vector(mat)
+            assert dependency == {j: c for j, c in enumerate(oracle) if c}
+
     def test_exact_where_the_screen_prime_is_not(self):
         p = (1 << 61) - 1
         assert rank([(p,)]) == 1
         # determinant p: singular mod p, regular over Q
         assert rank([(1, 1), (1, 1 + p)]) == 2
+
+
+class TestScreen:
+    def check_screen(self, model: Model) -> bool:
+        vectors = [mobius_vector(p) for p in model]
+        accepted = _screen(bit_rows(model))
+        assert accepted == (rank_mod2(vectors) == len(model))
+        if accepted:
+            assert rank_oracle(vectors) == len(model)
+        return accepted
+
+    @pytest.mark.parametrize("n, most", [(3, 6), (4, 24), (5, 60)])
+    def test_acceptance_is_sound_on_random_models(self, rng, n, most):
+        u = Universe.of_size(n)
+        accepted = sum(
+            self.check_screen(random_model(rng, u, rng.randrange(1, most + 1)))
+            for _ in range(15)
+        )
+        assert accepted >= 3
+
+    def test_acceptance_is_sound_on_fixtures(self):
+        models = [m for m in fixtures().values() if isinstance(m, Model)]
+        assert len(models) == 4
+        for model in models:
+            self.check_screen(model)
+
+    def test_double_cover_answers_through_exact_rank(self, monkeypatch):
+        model = double_cover_model()
+        vectors = [mobius_vector(p) for p in model]
+        assert (len(model), rank_mod2(vectors)) == (8, 7)
+        assert not _screen(bit_rows(model))
+        calls = []
+
+        def counted(vectors):
+            vectors = list(vectors)
+            calls.append(len(vectors))
+            return rank(vectors)
+
+        monkeypatch.setattr(identify, "rank", counted)
+        res = is_identified(model)
+        assert res.identified and res.certificate is None
+        assert calls == [8]
 
 
 class TestIsIdentified:
@@ -181,6 +320,32 @@ class TestIsIdentified:
         cert = res.certificate
         assert set(cert.nu.support).isdisjoint(cert.nu_prime.support)
         assert rcr_from_distribution(cert.nu) == rcr_from_distribution(cert.nu_prime)
+
+    @pytest.mark.parametrize("n, most", [(4, 12), (5, 30), (6, 40)])
+    def test_certificate_matches_nullspace_oracle(self, rng, n, most):
+        u = Universe.of_size(n)
+        for _ in range(8):
+            m = with_swap_square(rng, random_model(rng, u, rng.randrange(1, most + 1)))
+            res = is_identified(m)
+            assert not res
+            oracle = nullspace_vector([mobius_vector(p) for p in m])
+            expected = tuple((p, c) for p, c in zip(m, oracle) if c)
+            assert res.certificate.coefficients == expected
+
+    def test_max_basis_plus_one_certified_n8(self):
+        u = Universe.of_size(8)
+        diagram = build_diagram(u, appended=True)
+        basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
+        inside = {p.ranking for p in basis}
+        extra = next(p for p in all_preferences(u) if p.ranking not in inside)
+        model = Model.of(u, basis + [extra])
+        res = is_identified(model)
+        assert not res
+        cert = res.certificate
+        assert set(cert.nu.support) <= set(model)
+        assert set(cert.nu_prime.support) <= set(model)
+        assert set(cert.nu.support).isdisjoint(cert.nu_prime.support)
+        assert best_element_rule(cert.nu) == best_element_rule(cert.nu_prime)
 
     def test_double_cover_identified(self):
         assert is_identified(double_cover_model())

@@ -18,6 +18,7 @@ from conftest import (
     random_rule,
 )
 from rumkit import (
+    CapExceededError,
     Model,
     MobiusInverse,
     Preference,
@@ -45,6 +46,7 @@ from rumkit import (
     validate_rcr,
     verify_contour_mass_identity,
 )
+from rumkit.core import CAP_ENV_VAR
 from rumkit.stochastic import MAX_DRAWS
 
 U2 = Universe(("x", "y"))
@@ -164,6 +166,17 @@ class TestRuleFromDistribution:
         assert rule == RandomChoiceRule(model.universe, best_element_rule(nu))
         assert rule.denominator == 4
         assert verify_contour_mass_identity(nu)
+
+    def test_entries_read_without_the_cap(self, monkeypatch):
+        # the lattice cap is checked when a table is built, not per entry
+        u = Universe.of_size(4)
+        p = Preference(u, (0, 1, 2, 3))
+        rule = rcr_from_distribution(point_mass(Model.of(u, [p]), p))
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert rule[(0, 0b1111)] == rule.value(0, 0b1111) == 1
+        assert len(rule.values) == 32
+        with pytest.raises(CapExceededError):
+            RandomChoiceRule(u, rule.values)
 
     def test_induced_rule_is_valid(self, rng):
         for n in (3, 4):
