@@ -35,7 +35,6 @@ from .errors import (
     LabelError,
     NotCarumError,
     NotEdgeDecomposableError,
-    RecoveryError,
     RumkitError,
     UniverseMismatchError,
     WitnessError,
@@ -46,7 +45,6 @@ from .families import (
     SingleCrossingResult,
     carum_recover,
     check_single_crossing,
-    double_cover_closed_form,
     double_cover_model,
     fishburn_distributions,
     fishburn_model,
@@ -59,15 +57,12 @@ from .families import (
     shadowed_triple_model,
 )
 from .flowgraph import (
-    Circuit,
     FlowDiagram,
     SpanningTree,
     build_diagram,
-    circuit_to_preference,
     cyclomatic_number,
     directed_spanning_tree,
     preference_basis,
-    preference_to_circuit,
     verify_spanning_tree,
 )
 from .identify import (
@@ -80,7 +75,7 @@ from .identify import (
     rule_vector,
 )
 from .stochastic import (
-    EmpiricalSample,
+    ChoiceData,
     MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
@@ -93,7 +88,6 @@ from .stochastic import (
     rcr_from_distribution,
     sample_empirical_rule,
     validate_rcr,
-    verify_contour_mass_identity,
 )
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .errors import (
     NotCarumError,
     NotEdgeDecomposableError,
     RumkitError,
+    shown,
 )
 from .families import (
     carum_recover,
@@ -77,7 +78,7 @@ def _mass_payload(dist: PreferenceDistribution) -> dict:
 def _parse_order_labels(raw: str) -> list[str]:
     labels = [part.strip() for part in raw.split(",")]
     if any(not lab for lab in labels):
-        raise DocumentError(f"--order {raw!r}: empty label")
+        raise DocumentError(f"--order {shown(raw)}: empty label")
     return labels
 
 
@@ -262,9 +263,7 @@ def _cmd_generate(args: argparse.Namespace) -> Result:
         detail = "exact rule"
     else:
         sample = sample_empirical_rule(dist, args.samples, args.seed)
-        documents.save_choice_data(
-            sample.rule, args.out, sample.counts, sample.trials, sample.seed
-        )
+        documents.save_choice_data(sample.rule, args.out, sample.trials, sample.seed)
         detail = f"empirical rule from {args.samples} draws per menu (seed {args.seed})"
     payload = {
         "out": str(args.out),
@@ -379,7 +378,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> Result:
     table = fixtures()
     if args.name not in table:
         raise DocumentError(
-            f"--name: unknown fixture {args.name!r}; available: "
+            f"--name: unknown fixture {shown(args.name)}; available: "
             + ", ".join(sorted(table))
         )
     obj = table[args.name]

@@ -127,12 +127,12 @@ class RecoveryReport:
         return Fraction(0)
 
 
-ChoiceData = Union[RandomChoiceRule, MobiusInverse]
+RuleOrInverse = Union[RandomChoiceRule, MobiusInverse]
 
 
 def recover_distribution(
     model: Model,
-    data: ChoiceData,
+    data: RuleOrInverse,
     tolerance: Union[Fraction, int, str] = 0,
 ) -> RecoveryReport:
     """Peel masses off the Mobius inverse along a decomposition witness.

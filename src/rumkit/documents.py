@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -18,6 +17,7 @@ from typing import Union
 from .core import Model, Universe, bits_of, lattice, preference_from_labels
 from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
+    ChoiceData,
     PreferenceDistribution,
     RandomChoiceRule,
     as_fraction,
@@ -134,22 +134,21 @@ def load_model(path: PathLike) -> Model:
 
 # -- choice data documents ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ChoiceData:
-    """A loaded choice-data document: the rule plus optional sample counts."""
-
-    rule: RandomChoiceRule
-    counts: dict[tuple[int, int], int] | None
-    trials: int | None
-    seed: int | None
-
-
 def dump_choice_data(
     rule: RandomChoiceRule,
-    counts: dict[tuple[int, int], int] | None = None,
     trials: int | None = None,
     seed: int | None = None,
 ) -> dict:
+    """The document for a rule, with its sample counts when trials is given.
+
+    A count is the probability times trials, so trials must be a positive
+    multiple of the rule's denominator.
+    """
+    if trials is not None and (trials < 1 or trials % rule.denominator):
+        raise RumkitError(
+            f"trials = {trials} is not a positive multiple of the rule's "
+            f"denominator {rule.denominator}"
+        )
     universe = rule.universe
     index = lattice(universe.n).index
     entries = []
@@ -165,9 +164,11 @@ def dump_choice_data(
             "menu": list(universe.labels_of(mask)),
             "probabilities": probabilities,
         }
-        if counts is not None:
+        if trials is not None:
             entry["counts"] = {
-                universe.labels[x]: counts.get((x, mask), 0) for x in members
+                universe.labels[x]: rule.numerators[index[(x, mask)]]
+                * (trials // rule.denominator)
+                for x in members
             }
         entries.append(entry)
     doc: dict[str, object] = {
@@ -189,7 +190,8 @@ def parse_choice_data(doc: object) -> ChoiceData:
     Partial data is rejected rather than imputed, because every downstream
     transform needs all supersets of a menu. Sample counts, when present, must
     name only menu members, sum to trials on each menu and give each
-    probability as count / trials.
+    probability as count / trials; they are checked, not kept, since the rule
+    and trials determine them.
     """
     doc = _expect_version(doc, "choice-data")
     universe = _universe_from(doc)
@@ -204,8 +206,6 @@ def parse_choice_data(doc: object) -> ChoiceData:
         raise DocumentError(f"seed: expected an integer, got {shown(seed)}")
 
     values: dict[tuple[int, int], Fraction] = {}
-    counts: dict[tuple[int, int], int] = {}
-    saw_counts = False
     seen_masks = set()
     for i, entry in enumerate(raw_entries):
         where = f"entries[{i}]"
@@ -244,7 +244,6 @@ def parse_choice_data(doc: object) -> ChoiceData:
             )
         raw_counts = entry.get("counts")
         if raw_counts is not None:
-            saw_counts = True
             if not isinstance(raw_counts, dict):
                 raise DocumentError(f"{where}.counts: expected an object")
             if trials is None:
@@ -258,7 +257,6 @@ def parse_choice_data(doc: object) -> ChoiceData:
                     raise DocumentError(
                         f"{where}.counts.{label}: expected a nonnegative integer"
                     )
-                counts[(universe.index(label), mask)] = c
             total = sum(raw_counts.values())
             if total != trials:
                 raise DocumentError(
@@ -292,18 +290,17 @@ def parse_choice_data(doc: object) -> ChoiceData:
             f"entries: probabilities on menu {universe.describe_mask(mask)} "
             f"sum to {total}, not 1"
         )
-    return ChoiceData(rule, counts if saw_counts else None, trials, seed)
+    return ChoiceData(rule, trials, seed)
 
 
 def save_choice_data(
     rule: RandomChoiceRule,
     path: PathLike,
-    counts: dict[tuple[int, int], int] | None = None,
     trials: int | None = None,
     seed: int | None = None,
 ) -> None:
     Path(path).write_text(
-        _dumps(dump_choice_data(rule, counts, trials, seed)), encoding="utf-8"
+        _dumps(dump_choice_data(rule, trials, seed)), encoding="utf-8"
     )
 
 

@@ -40,10 +40,6 @@ class NotCarumError(RumkitError):
     """Choice data is inconsistent with every Latin-square model."""
 
 
-class RecoveryError(RumkitError):
-    """Closed-form recovery produced masses that are not a distribution."""
-
-
 class WitnessError(RumkitError):
     """A decomposition witness does not cover the model bijectively, or names a
     pair off the lattice."""

@@ -20,16 +20,13 @@ from .core import (
     require_same_universe,
 )
 from .decompose import recover_distribution
-from .errors import CapExceededError, NotCarumError, RecoveryError, RumkitError
+from .errors import CapExceededError, NotCarumError, RumkitError
 from .stochastic import (
-    MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
     mobius_inverse,
     validate_rcr,
 )
-
-ExogenousOrder = Preference
 
 SCRUM_SEARCH_CAP = 8
 
@@ -318,7 +315,7 @@ def double_cover_model() -> Model:
     """Eight preferences over {a..h} whose paths cover every used edge twice.
 
     The model is identified even though the double cover defeats every
-    peeling order; double_cover_closed_form inverts it in closed form.
+    peeling order, so recover_distribution cannot invert its data.
     """
     u = Universe(tuple("abcdefgh"))
     rankings = [
@@ -373,42 +370,3 @@ def fixtures() -> dict[str, object]:
         "shadowed-triple": shadowed_triple_model(),
         "no-single-crossing": no_single_crossing_model(),
     }
-
-
-def double_cover_closed_form(q: MobiusInverse) -> PreferenceDistribution:
-    """Invert double-cover data by the model's three-equation linear system.
-
-    Three pairwise-overlapping edges pin down the masses of the three
-    preferences sharing them; every remaining mass then follows from one
-    already-known mass and one Mobius entry. Raises RecoveryError when the
-    resulting masses are not a distribution (the data did not come from this
-    model).
-    """
-    model = double_cover_model()
-    u = model.universe
-    if q.universe != u:
-        raise RumkitError("Mobius data is not on the {a..h} universe")
-
-    def entry(x_label: str, menu_labels: str) -> Fraction:
-        x = u.index(x_label)
-        mask = 0
-        for lab in menu_labels:
-            mask |= 1 << u.index(lab)
-        return q.value(x, mask)
-
-    prefs = {"".join(p.to_labels()): p for p in model.preferences}
-    half = Fraction(1, 2)
-    m = {}
-    m["hgefbdac"] = half * (entry("h", "abcdefgh") + entry("e", "abcdef") - entry("b", "ab"))
-    m["hgfdceba"] = half * (entry("h", "abcdefgh") - entry("e", "abcdef") + entry("b", "ab"))
-    m["ghefdcba"] = half * (-entry("h", "abcdefgh") + entry("e", "abcdef") + entry("b", "ab"))
-    m["fgdhceab"] = entry("c", "abce") - m["hgfdceba"]
-    m["ghfdebca"] = entry("f", "abcdef") - m["hgfdceba"]
-    m["fghedcab"] = entry("a", "ab") - m["fgdhceab"]
-    m["gfdhebac"] = entry("e", "abce") - m["ghfdebca"]
-    m["gfhebdca"] = entry("c", "ac") - m["ghfdebca"]
-    if any(value < 0 or value > 1 for value in m.values()):
-        raise RecoveryError("closed-form masses fall outside [0, 1]")
-    if sum(m.values(), Fraction(0)) != 1:
-        raise RecoveryError("closed-form masses do not sum to 1")
-    return PreferenceDistribution(model, {prefs[k]: v for k, v in m.items()})

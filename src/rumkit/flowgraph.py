@@ -4,6 +4,8 @@ Nodes are the 2^n subsets of the universe; each pair (x, A) with x in A is a
 directed edge A -> A \\ {x}. The appended variant adds one edge from the
 empty set back to the full set, making the graph strongly connected; minimal
 circuits of the appended diagram then correspond one-to-one to preferences.
+A preference's circuit is its contour_keys(), the n edges it descends from
+the full set to the empty set, closed by the appended edge.
 
 Both construction algorithms here are deterministic: sets are enumerated in
 ascending bitmask order and out-edges by ascending removed-element index, so
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Preference, Universe, bits_of, lattice, require_same_universe
+from .core import Preference, Universe, bits_of, lattice
 from .errors import RumkitError
 
 
@@ -79,64 +81,6 @@ def cyclomatic_number(diagram: FlowDiagram) -> int:
     if not diagram.appended:
         raise RumkitError("the cyclomatic number is defined on the appended diagram")
     return diagram.edge_count - diagram.node_count + 1
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A directed cycle in the appended diagram, as an ordered edge-id list."""
-
-    diagram: FlowDiagram
-    edges: tuple[int, ...]
-
-    def indicator(self) -> tuple[int, ...]:
-        """0/1 vector over all diagram edges, the appended coordinate last."""
-        coords = [0] * self.diagram.edge_count
-        for eid in self.edges:
-            coords[eid] = 1
-        return tuple(coords)
-
-
-def preference_to_circuit(pref: Preference, diagram: FlowDiagram) -> Circuit:
-    """The minimal circuit descending along pref then looping back via the append."""
-    require_same_universe(pref, diagram)
-    if not diagram.appended:
-        raise RumkitError("circuits need the appended diagram")
-    edges = [diagram.edge_id(x, mask) for x, mask in pref.contour_keys()]
-    edges.append(diagram.appended_edge_id)
-    return Circuit(diagram, tuple(edges))
-
-
-def circuit_to_preference(circuit: Circuit) -> Preference:
-    """Read the preference off a minimal circuit; rejects anything else."""
-    diagram = circuit.diagram
-    if not diagram.appended:
-        raise RumkitError("circuits need the appended diagram")
-    loop_id = diagram.appended_edge_id
-    loop_positions = [i for i, eid in enumerate(circuit.edges) if eid == loop_id]
-    if len(loop_positions) != 1:
-        raise RumkitError(
-            f"not a minimal circuit: the appended edge appears "
-            f"{len(loop_positions)} times"
-        )
-    # rotate so the appended edge comes last and the walk starts at X
-    cut = loop_positions[0] + 1
-    edges = circuit.edges[cut:] + circuit.edges[:cut]
-    n = diagram.universe.n
-    if len(edges) != n + 1:
-        raise RumkitError(f"a minimal circuit has {n + 1} edges, got {len(edges)}")
-    current = diagram.universe.full_mask
-    ranking = []
-    for eid in edges[:-1]:
-        x, mask = diagram.pairs[eid]
-        if mask != current:
-            raise RumkitError(
-                f"edge chain breaks at {diagram.describe_edge(eid)}"
-            )
-        ranking.append(x)
-        current ^= 1 << x
-    if current != 0:
-        raise RumkitError("circuit does not descend to the empty set")
-    return Preference(diagram.universe, tuple(ranking))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Model, Preference, lattice, require_vector_cap
 from .errors import RumkitError
@@ -69,9 +69,7 @@ def _screen(rows: Iterable[int]) -> bool:
     return True
 
 
-def _eliminate(
-    rows: Sequence[dict[int, int]],
-) -> tuple[int, dict[int, Fraction] | None]:
+def _eliminate(rows: Iterable[dict[int, int]]) -> Iterator[dict[int, int] | None]:
     """Structured Gaussian elimination over Z on sparse rows ({coordinate: value}).
 
     Rows are reduced in the given order, fraction-free: a row meeting the
@@ -79,14 +77,13 @@ def _eliminate(
     the ratio of the two leading entries in lowest terms. Every row carries
     its combination of input rows; a row that stays nonzero becomes a pivot
     once it and its combination are divided by their content gcd, signed so
-    that the leading entry is positive. The first row to reduce to zero
-    yields a dependency {row index: coefficient}, scaled to coefficient 1 on
-    that row; its predecessors are independent, so that dependency is the
-    unique one. Fractions are made only there. Returns the rank and that
-    dependency, or None when the rows are independent.
+    that the leading entry is positive. Yields one value per row: None for a
+    new pivot, or, for a row that reduces to zero, its integer combination
+    {row index: coefficient}, which is zero on the rows after it. The first
+    such combination is the unique dependency of its row on the rows before
+    it, which are independent. Work stops when the caller stops reading.
     """
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    dependency = None
     for i, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
         combo = {i: 1}
@@ -109,9 +106,7 @@ def _eliminate(
                     else:
                         del target[c]
         if not row:
-            if dependency is None:
-                own = combo[i]
-                dependency = {j: Fraction(v, own) for j, v in combo.items()}
+            yield combo
             continue
         g = math.gcd(*row.values(), *combo.values())
         if row[lead] < 0:
@@ -121,7 +116,7 @@ def _eliminate(
                 for c in target:
                     target[c] //= g
         pivots[lead] = (row, combo)
-    return len(pivots), dependency
+        yield None
 
 
 def rank(vectors: Iterable[Sequence]) -> int:
@@ -142,7 +137,7 @@ def rank(vectors: Iterable[Sequence]) -> int:
         entries = {c: Fraction(vec[c]) for c in compress(count(), vec)}
         scale = math.lcm(*(f.denominator for f in entries.values()))
         rows.append({c: f.numerator * (scale // f.denominator) for c, f in entries.items()})
-    return _eliminate(rows)[0]
+    return sum(combo is None for combo in _eliminate(rows))
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def is_identified(model: Model) -> IdentificationResult:
     dependency mod 2 is never a certificate. When the screen fails, the exact
     rank decides, and the integer elimination's first dependency, the unique
     combination of the first preference whose vector depends on the ones
-    before it, gives the certificate.
+    before it, gives the certificate; the elimination stops there.
     """
     n = model.universe.n
     require_vector_cap(n)
@@ -208,8 +203,12 @@ def is_identified(model: Model) -> IdentificationResult:
         return IdentificationResult(True, None)
     if rank(mobius_vector(pref) for pref in model) == len(model):
         return IdentificationResult(True, None)
-    rows = [{index[key]: 1 for key in pref.contour_keys()} for pref in model]
-    return IdentificationResult(False, _certificate(model, _eliminate(rows)[1]))
+    rows = ({index[key]: 1 for key in pref.contour_keys()} for pref in model)
+    i, combo = next(
+        (i, combo) for i, combo in enumerate(_eliminate(rows)) if combo is not None
+    )
+    dependency = {j: Fraction(v, combo[i]) for j, v in combo.items()}
+    return IdentificationResult(False, _certificate(model, dependency))
 
 
 def max_identified_size(n: int) -> int:

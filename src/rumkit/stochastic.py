@@ -393,30 +393,23 @@ def flow_conservation_check(q: MobiusInverse) -> FlowCheck:
     return FlowCheck(not bad, tuple(bad), Fraction(total, q.denominator))
 
 
-def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
-    """The Mobius inverse of the induced rule equals contour-class mass.
-
-    For every pair (x, A): q(x, A) computed from p must equal the summed mass
-    of supported preferences whose weak lower contour set of x is exactly A.
-    """
-    q = mobius_inverse(rcr_from_distribution(dist))
-    mass = _contour_mass(lattice(dist.universe.n), dist.entries)
-    return q == MobiusInverse._of(dist.universe, *mass)
-
-
 @dataclass(frozen=True)
-class EmpiricalSample:
-    """Best-in-menu frequencies from simulated draws, with the raw counts."""
+class ChoiceData:
+    """A choice rule, with the sample it was drawn as when there is one.
+
+    A sampled rule records trials draws per menu from the given seed; its
+    counts are not stored, as each is the rule entry times trials. Exact
+    data has neither field.
+    """
 
     rule: RandomChoiceRule
-    counts: dict[tuple[int, int], int]
-    trials: int
-    seed: int
+    trials: int | None
+    seed: int | None
 
 
 def sample_empirical_rule(
     dist: PreferenceDistribution, trials: int, seed: int
-) -> EmpiricalSample:
+) -> ChoiceData:
     """Draw trials i.i.d. preferences per menu and record choice frequencies.
 
     Menus are visited in ascending bitmask order and draws are made with an
@@ -442,7 +435,6 @@ def sample_empirical_rule(
         acc += int(w * denom)
         thresholds.append(acc)
     index = lattice(universe.n).index
-    counts: dict[tuple[int, int], int] = {}
     numerators = [0] * len(index)
     for mask in range(1, universe.full_mask + 1):
         menu_counts: dict[int, int] = {}
@@ -451,7 +443,6 @@ def sample_empirical_rule(
             best = prefs[bisect.bisect_right(thresholds, draw)].best_in(mask)
             menu_counts[best] = menu_counts.get(best, 0) + 1
         for x, c in menu_counts.items():
-            counts[(x, mask)] = c
             numerators[index[(x, mask)]] = c
     rule = RandomChoiceRule._of(universe, *_reduced(numerators, trials))
-    return EmpiricalSample(rule, counts, trials, seed)
+    return ChoiceData(rule, trials, seed)

@@ -9,13 +9,20 @@ from math import factorial
 import pytest
 
 from rumkit import (
+    ChoiceData,
+    MobiusInverse,
     Model,
     Preference,
     PreferenceDistribution,
     RandomChoiceRule,
+    RumkitError,
     Universe,
+    double_cover_model,
     lattice,
+    mobius_inverse,
+    rcr_from_distribution,
 )
+from rumkit.documents import dump_choice_data
 
 
 def random_preference(rng: random.Random, universe: Universe) -> Preference:
@@ -100,6 +107,75 @@ def best_element_rule(dist: PreferenceDistribution) -> dict[tuple[int, int], Fra
         for pref, m in dist.entries:
             table[(pref.best_in(mask), mask)] += m
     return table
+
+
+def document_counts(data: ChoiceData) -> dict[tuple[int, int], int]:
+    """The nonzero sample counts, read from the data's dumped document."""
+    doc = dump_choice_data(data.rule, data.trials, data.seed)
+    universe = data.rule.universe
+    counts = {}
+    for entry in doc["entries"]:
+        mask = universe.menu_of_labels(entry["menu"])
+        for label, c in entry["counts"].items():
+            if c:
+                counts[(universe.index(label), mask)] = c
+    return counts
+
+
+def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
+    """The Mobius inverse of the induced rule equals contour-class mass.
+
+    For every pair (x, A): q(x, A) computed from p must equal the summed mass
+    of supported preferences whose weak lower contour set of x is exactly A.
+    """
+    mass = dict.fromkeys(lattice(dist.universe.n).keys, Fraction(0))
+    for pref, m in dist.entries:
+        for key in pref.contour_keys():
+            mass[key] += m
+    return mobius_inverse(rcr_from_distribution(dist)).values == mass
+
+
+class RecoveryError(RumkitError):
+    """Closed-form recovery produced masses that are not a distribution."""
+
+
+def double_cover_closed_form(q: MobiusInverse) -> PreferenceDistribution:
+    """Invert double-cover data by the model's three-equation linear system.
+
+    Three pairwise-overlapping edges pin down the masses of the three
+    preferences sharing them; every remaining mass then follows from one
+    already-known mass and one Mobius entry. Raises RecoveryError when the
+    resulting masses are not a distribution (the data did not come from this
+    model).
+    """
+    model = double_cover_model()
+    u = model.universe
+    if q.universe != u:
+        raise RumkitError("Mobius data is not on the {a..h} universe")
+
+    def entry(x_label: str, menu_labels: str) -> Fraction:
+        x = u.index(x_label)
+        mask = 0
+        for lab in menu_labels:
+            mask |= 1 << u.index(lab)
+        return q.value(x, mask)
+
+    prefs = {"".join(p.to_labels()): p for p in model.preferences}
+    half = Fraction(1, 2)
+    m = {}
+    m["hgefbdac"] = half * (entry("h", "abcdefgh") + entry("e", "abcdef") - entry("b", "ab"))
+    m["hgfdceba"] = half * (entry("h", "abcdefgh") - entry("e", "abcdef") + entry("b", "ab"))
+    m["ghefdcba"] = half * (-entry("h", "abcdefgh") + entry("e", "abcdef") + entry("b", "ab"))
+    m["fgdhceab"] = entry("c", "abce") - m["hgfdceba"]
+    m["ghfdebca"] = entry("f", "abcdef") - m["hgfdceba"]
+    m["fghedcab"] = entry("a", "ab") - m["fgdhceab"]
+    m["gfdhebac"] = entry("e", "abce") - m["ghfdebca"]
+    m["gfhebdca"] = entry("c", "ac") - m["ghfdebca"]
+    if any(value < 0 or value > 1 for value in m.values()):
+        raise RecoveryError("closed-form masses fall outside [0, 1]")
+    if sum(m.values(), Fraction(0)) != 1:
+        raise RecoveryError("closed-form masses do not sum to 1")
+    return PreferenceDistribution(model, {prefs[k]: v for k, v in m.items()})
 
 
 def nullspace_vector(vectors) -> list[Fraction]:

@@ -15,10 +15,12 @@ from math import factorial
 import pytest
 
 from conftest import (
+    double_cover_closed_form,
     random_distribution,
     random_mobius_values,
     random_model,
     random_rule,
+    verify_contour_mass_identity,
 )
 from rumkit import (
     Model,
@@ -34,7 +36,6 @@ from rumkit import (
     contour_class,
     cyclomatic_number,
     directed_spanning_tree,
-    double_cover_closed_form,
     double_cover_model,
     fishburn_distributions,
     fishburn_model,
@@ -55,7 +56,6 @@ from rumkit import (
     scrum_order_exists,
     shadowed_triple_model,
     validate_witness,
-    verify_contour_mass_identity,
     flow_conservation_check,
 )
 

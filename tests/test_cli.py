@@ -141,6 +141,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "check-identified", "--model", str(model))
         assert code == 2 and out == ""
         assert err == f"error: preferences[0]: unknown label '{'9' * 39}... (5002 chars)\n"
+        order = ",".join(f"x{i}" for i in range(1999)) + ","
+        code, out, err = run(
+            capsys, "latin-square", "--order", order, "--out", str(tmp_path / "l.json")
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --order {repr(order)[:40]}... ({len(order) + 2} chars): empty label\n"
+        )
+        name = "f" * 3000
+        code, out, err = run(
+            capsys, "fixtures", "--name", name, "--out", str(tmp_path / "f.json")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --name: unknown fixture '{'f' * 39}... (3002 chars); ")
+        assert len(err) < 200
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
     def test_bad_cap_override_is_input_error(self, capsys, tmp_path, monkeypatch, raw):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import document_counts
 from rumkit import (
     DocumentError,
     Model,
     Preference,
     PreferenceDistribution,
+    RumkitError,
     Universe,
     all_preferences,
     fishburn_distributions,
@@ -166,7 +168,8 @@ class TestChoiceDataDocuments:
         first = path.read_bytes()
         data = load_choice_data(path)
         assert data.rule == rule
-        assert data.counts is None and data.trials is None
+        assert data.trials is None and data.seed is None
+        assert all("counts" not in entry for entry in json.loads(first)["entries"])
         save_choice_data(data.rule, path)
         assert path.read_bytes() == first
 
@@ -174,13 +177,35 @@ class TestChoiceDataDocuments:
         nu1, _ = fishburn_distributions()
         sample = sample_empirical_rule(nu1, trials=25, seed=3)
         path = tmp_path / "p.json"
-        save_choice_data(sample.rule, path, sample.counts, sample.trials, sample.seed)
+        save_choice_data(sample.rule, path, sample.trials, sample.seed)
         data = load_choice_data(path)
-        assert data.rule == sample.rule
+        assert data == sample
         assert data.trials == 25 and data.seed == 3
-        nonzero = {k: v for k, v in sample.counts.items() if v}
-        loaded_nonzero = {k: v for k, v in (data.counts or {}).items() if v}
-        assert loaded_nonzero == nonzero
+        assert document_counts(data) == document_counts(sample)
+
+    def test_sampled_roundtrip_is_byte_identical(self, tmp_path):
+        nu1, _ = fishburn_distributions()
+        sample = sample_empirical_rule(nu1, trials=30, seed=4)
+        path = tmp_path / "p.json"
+        save_choice_data(sample.rule, path, sample.trials, sample.seed)
+        first = path.read_bytes()
+        data = load_choice_data(path)
+        save_choice_data(data.rule, path, data.trials, data.seed)
+        assert path.read_bytes() == first
+
+    def test_counts_are_probability_times_trials(self):
+        u = Universe.of_size(2)
+        m = latin_square(Preference(u, (0, 1)))
+        rule = rcr_from_distribution(
+            PreferenceDistribution(m, dict(zip(m.preferences, ("1/3", "2/3"))))
+        )
+        assert rule.denominator == 3
+        with pytest.raises(RumkitError, match="trials = 5 is not a positive multiple"):
+            dump_choice_data(rule, trials=5)
+        doc = dump_choice_data(rule, trials=6)
+        pair = next(e for e in doc["entries"] if len(e["menu"]) == 2)
+        assert sorted(pair["counts"].values()) == [2, 4]
+        assert parse_choice_data(doc).trials == 6
 
     def test_missing_menu_rejected(self):
         nu1, _ = fishburn_distributions()
@@ -213,7 +238,7 @@ class TestChoiceDataDocuments:
     def sampled_doc() -> dict:
         nu1, _ = fishburn_distributions()
         sample = sample_empirical_rule(nu1, trials=8, seed=5)
-        return dump_choice_data(sample.rule, sample.counts, sample.trials, sample.seed)
+        return dump_choice_data(sample.rule, sample.trials, sample.seed)
 
     def test_count_label_outside_menu_rejected(self):
         doc = self.sampled_doc()

@@ -5,19 +5,22 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_distribution, random_model
+from conftest import (
+    RecoveryError,
+    double_cover_closed_form,
+    random_distribution,
+    random_model,
+)
 from rumkit import (
     CapExceededError,
     Model,
     NotCarumError,
     Preference,
     PreferenceDistribution,
-    RecoveryError,
     Universe,
     carum_recover,
     check_single_crossing,
     contour_class,
-    double_cover_closed_form,
     double_cover_model,
     fishburn_distributions,
     fixtures,

@@ -1,22 +1,21 @@
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
 from rumkit import (
     CapExceededError,
-    Circuit,
+    Preference,
     RumkitError,
     SpanningTree,
     Universe,
     all_preferences,
     build_diagram,
-    circuit_to_preference,
     cyclomatic_number,
     directed_spanning_tree,
     max_identified_size,
     preference_basis,
-    preference_to_circuit,
-    preference_from_labels,
     verify_spanning_tree,
 )
 from rumkit.core import CAP_ENV_VAR
@@ -71,44 +70,24 @@ class TestCyclomaticNumber:
         assert cyclomatic_number(build_diagram(Universe.of_size(n))) == max_identified_size(n)
 
 
-class TestCircuits:
-    def test_descent_node_sequence(self):
-        u = Universe(("x", "y", "z"))
-        p = preference_from_labels(u, "xyz")
-        d = build_diagram(u)
-        circuit = preference_to_circuit(p, d)
-        nodes = [d.edge_endpoints(e)[0] for e in circuit.edges]
-        # X -> {y,z} -> {z} -> (empty) -> X
-        yz = u.menu_of_labels("yz")
-        z = u.menu_of_labels("z")
-        assert nodes == [u.full_mask, yz, z, 0]
-        assert d.edge_endpoints(circuit.edges[-1]) == (0, u.full_mask)
+class TestContourKeys:
+    """A preference's circuit is its contour keys, one-to-one."""
 
-    def test_roundtrip_all_preferences_n4(self):
-        u = Universe.of_size(4)
-        d = build_diagram(u)
-        prefs = list(all_preferences(u))
-        assert len(prefs) == 24
-        for p in prefs:
-            assert circuit_to_preference(preference_to_circuit(p, d)) == p
-
-    def test_concatenation_rejected(self):
-        u = Universe.of_size(3)
-        d = build_diagram(u)
-        a = preference_to_circuit(preference_from_labels(u, "abc"), d)
-        b = preference_to_circuit(preference_from_labels(u, "cba"), d)
-        glued = Circuit(d, a.edges + b.edges)
-        with pytest.raises(RumkitError, match="minimal"):
-            circuit_to_preference(glued)
-
-    def test_indicator_marks_edges_with_appended_last(self):
-        u = Universe.of_size(2)
-        d = build_diagram(u)
-        circuit = preference_to_circuit(preference_from_labels(u, "ab"), d)
-        vec = circuit.indicator()
-        assert len(vec) == d.edge_count
-        assert vec[-1] == 1
-        assert sum(vec) == u.n + 1
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_keys_are_a_bijection_onto_descending_chains(self, n):
+        u = Universe.of_size(n)
+        key_sets = set()
+        for p in all_preferences(u):
+            keys = tuple(p.contour_keys())
+            menu = u.full_mask
+            for x, mask in keys:
+                # each step removes its own x from the menu it starts at
+                assert mask == menu and mask >> x & 1
+                menu ^= 1 << x
+            assert keys[0][1] == u.full_mask and keys[-1][1].bit_count() == 1
+            assert Preference(u, tuple(x for x, _ in keys)) == p
+            key_sets.add(frozenset(keys))
+        assert len(key_sets) == factorial(n)
 
 
 class TestSpanningTree:

@@ -220,7 +220,10 @@ class TestRank:
             weights = [rng.randrange(-5, 6) for _ in range(nrows - 1)]
             mat[-1] = [sum(w * vec[c] for w, vec in zip(weights, mat)) for c in range(ncols)]
             rows = [{c: v for c, v in enumerate(vec) if v} for vec in mat]
-            rk, dependency = _eliminate(rows)
+            steps = list(_eliminate(rows))
+            rk = sum(combo is None for combo in steps)
+            i, combo = next((i, c) for i, c in enumerate(steps) if c is not None)
+            dependency = {j: Fraction(v, combo[i]) for j, v in combo.items()}
             assert rk == rank_oracle(mat) < nrows
             oracle = nullspace_vector(mat)
             assert dependency == {j: c for j, c in enumerate(oracle) if c}
