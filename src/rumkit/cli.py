@@ -166,15 +166,16 @@ def _cmd_max_basis(args: argparse.Namespace) -> Result:
     model = Model.of(universe, [pref for pref, _ in basis])
     documents.save_model(model, args.out)
     size = len(basis)
+    cyclomatic = cyclomatic_number(diagram)
     payload = {
         "n": args.n,
         "size": size,
-        "cyclomatic_number": cyclomatic_number(diagram),
+        "cyclomatic_number": cyclomatic,
         "out": str(args.out),
     }
     return OK, payload, [
         f"built a maximal identified model with {size} preferences "
-        f"(cyclomatic number {cyclomatic_number(diagram)})",
+        f"(cyclomatic number {cyclomatic})",
         f"wrote {args.out}",
     ]
 
@@ -247,7 +248,10 @@ def _cmd_recover(args: argparse.Namespace) -> Result:
         lines.append(
             f"residual: {len(report.residual)} pairs differ, worst {worst}"
         )
+        payload["residual_pairs"] = []
         for (x, mask), diff in report.residual[:5]:
+            pair = {"menu": list(universe.labels_of(mask)), "x": universe.labels[x]}
+            payload["residual_pairs"].append({**pair, "difference": str(diff)})
             lines.append(f"  {universe.describe_pair(x, mask)}: {diff}")
         if len(report.residual) > 5:
             lines.append(f"  ... and {len(report.residual) - 5} more")
@@ -257,6 +261,11 @@ def _cmd_recover(args: argparse.Namespace) -> Result:
 def _cmd_generate(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     dist = documents.load_distribution(args.dist, model=model)
+    payload = {
+        "out": str(args.out),
+        "menus": (1 << model.universe.n) - 1,
+        "sampled": args.samples is not None,
+    }
     if args.samples is None:
         rule = rcr_from_distribution(dist)
         documents.save_choice_data(rule, args.out)
@@ -265,11 +274,7 @@ def _cmd_generate(args: argparse.Namespace) -> Result:
         sample = sample_empirical_rule(dist, args.samples, args.seed)
         documents.save_choice_data(sample.rule, args.out, sample.trials, sample.seed)
         detail = f"empirical rule from {args.samples} draws per menu (seed {args.seed})"
-    payload = {
-        "out": str(args.out),
-        "menus": (1 << model.universe.n) - 1,
-        "sampled": args.samples is not None,
-    }
+        payload.update(samples=sample.trials, seed=sample.seed)
     return OK, payload, [f"wrote {detail} to {args.out}"]
 
 
@@ -331,11 +336,10 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
         lines = ["single crossing: yes", "enumeration:"]
         lines += [f"  {_ranking_text(p)}" for p in result.enumeration]
     else:
-        payload["conflict"] = result.conflict
+        a, b = (_ranking_text(p) for p in result.conflict_prefs)
+        payload.update(conflict=result.conflict, witnesses=[a, b])
         lines = ["single crossing: no", f"conflict: {result.conflict}"]
-        if result.conflict_prefs:
-            a, b = result.conflict_prefs
-            lines.append(f"  witnesses: {_ranking_text(a)} and {_ranking_text(b)}")
+        lines.append(f"  witnesses: {a} and {b}")
     return OK if result.holds else NEGATIVE, payload, lines
 
 

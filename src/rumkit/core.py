@@ -183,9 +183,6 @@ class Preference:
         object.__setattr__(self, "_positions", tuple(positions))
         object.__setattr__(self, "_suffix_masks", tuple(suffix[:n]))
 
-    def position(self, x: int) -> int:
-        return self._positions[x]
-
     def prefers(self, x: int, y: int) -> bool:
         """True iff x is ranked strictly above y."""
         return self._positions[x] < self._positions[y]

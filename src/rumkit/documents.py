@@ -21,6 +21,7 @@ from .stochastic import (
     PreferenceDistribution,
     RandomChoiceRule,
     as_fraction,
+    check_sample_fields,
     validate_rcr,
 )
 
@@ -64,10 +65,6 @@ def _field_fraction(value: object, where: str) -> Fraction:
         return as_fraction(value)
     except RumkitError as exc:
         raise DocumentError(f"{where}: {exc}") from None
-
-
-def _format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _expect_version(doc: object, kind: str) -> dict:
@@ -144,7 +141,8 @@ def dump_choice_data(
     A count is the probability times trials, so trials must be a positive
     multiple of the rule's denominator.
     """
-    if trials is not None and (trials < 1 or trials % rule.denominator):
+    check_sample_fields(trials, seed)
+    if trials is not None and trials % rule.denominator:
         raise RumkitError(
             f"trials = {trials} is not a positive multiple of the rule's "
             f"denominator {rule.denominator}"
@@ -199,11 +197,8 @@ def parse_choice_data(doc: object) -> ChoiceData:
     if not isinstance(raw_entries, list):
         raise DocumentError("entries: expected a list")
     trials = doc.get("trials")
-    if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int) or trials < 1):
-        raise DocumentError(f"trials: expected a positive integer, got {shown(trials)}")
     seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise DocumentError(f"seed: expected an integer, got {shown(seed)}")
+    check_sample_fields(trials, seed, DocumentError)
 
     values: dict[tuple[int, int], Fraction] = {}
     seen_masks = set()
@@ -326,7 +321,7 @@ def dump_distribution(dist: PreferenceDistribution) -> dict:
         "version": FORMAT_VERSION,
         "alternatives": list(dist.universe.labels),
         "masses": {
-            _ranking_key(pref.to_labels()): _format_fraction(mass)
+            _ranking_key(pref.to_labels()): str(mass)
             for pref, mass in dist.entries
         },
     }

@@ -191,7 +191,6 @@ def max_scrum_model(order: Preference) -> tuple[Model, tuple[Preference, ...]]:
 def respects(pref: Preference, order: Preference) -> bool:
     """True iff pref's ranking is a cyclic rotation of the order's ranking."""
     require_same_universe(pref, order)
-    n = order.universe.n
     start = order.ranking.index(pref.ranking[0])
     rotated = order.ranking[start:] + order.ranking[:start]
     return pref.ranking == rotated

@@ -14,7 +14,7 @@ repeated runs produce identical trees and bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Preference, Universe, bits_of, lattice
 from .errors import RumkitError
@@ -24,16 +24,15 @@ from .errors import RumkitError
 class FlowDiagram:
     """The (optionally appended) probability flow diagram over one universe.
 
-    Contour edges are materialized in canonical coordinate order; when the
-    diagram is appended, the loop edge gets the final edge id len(pairs).
-    index maps a pair to its edge id. Both come from lattice(n) when the
-    diagram is built, so the lattice cap is checked then, not per edge.
+    Contour edges are materialized in canonical coordinate order, so a pair's
+    edge id is its lattice(n) coordinate; when the diagram is appended, the
+    loop edge gets the final edge id len(pairs). The pairs come from lattice(n)
+    when the diagram is built, so the lattice cap is checked then, not per edge.
     """
 
     universe: Universe
     appended: bool
     pairs: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -48,9 +47,6 @@ class FlowDiagram:
         if not self.appended:
             raise RumkitError("diagram has no appended edge")
         return len(self.pairs)
-
-    def edge_id(self, x: int, mask: int) -> int:
-        return self.index[(x, mask)]
 
     def edge_endpoints(self, edge_id: int) -> tuple[int, int]:
         """(source mask, destination mask) of an edge id."""
@@ -67,8 +63,7 @@ class FlowDiagram:
 
 def build_diagram(universe: Universe, appended: bool = True) -> FlowDiagram:
     """Materialize all n * 2^(n-1) contour edges (plus the loop if appended)."""
-    coords = lattice(universe.n)
-    return FlowDiagram(universe, appended, coords.keys, coords.index)
+    return FlowDiagram(universe, appended, lattice(universe.n).keys)
 
 
 def cyclomatic_number(diagram: FlowDiagram) -> int:
@@ -111,13 +106,11 @@ def directed_spanning_tree(diagram: FlowDiagram) -> SpanningTree:
         raise RumkitError("the spanning tree is built on the appended diagram")
     full = diagram.universe.full_mask
     parent: dict[int, tuple[int, int]] = {full: (0, diagram.appended_edge_id)}
-    connected = {0, full}
     # canonical coordinate order is exactly the sweep order: |A| descending,
     # mask ascending, removed element ascending
     for eid, (x, mask) in enumerate(diagram.pairs):
         child = mask ^ (1 << x)
-        if child not in connected:
-            connected.add(child)
+        if child and child not in parent:
             parent[child] = (mask, eid)
     return SpanningTree(parent)
 
@@ -191,25 +184,22 @@ def preference_basis(
     """One preference per non-tree edge, forming a basis of the circuit space.
 
     Sweep levels |A| = 1..n (nodes ascending, removed elements ascending).
-    For each non-tree edge e = (A -> A \\ {x}): walk the unique tree path from
-    the full set down to A, traverse e, then complete the descent to the empty
-    set, at each step removing the smallest-index element whose edge is in the
-    tree or was added by an earlier iteration. Lower levels are complete by
-    then, so the completion never gets stuck. Each entry is (preference,
-    (x, A mask)): the witness pair is covered for the first time by its own
-    circuit, which is what makes the reversed output a sequential
-    decomposition witness.
+    For each non-tree edge e = (A -> A \\ {x}), the preference ranks the
+    labels of the unique tree path from the full set down to A, then x, then
+    A \\ {x} in ascending order. Below A the descent uses only edges on
+    smaller menus, each a tree edge or a non-tree edge already swept, so
+    removing the smallest element at every step closes a circuit that uses e
+    as its one new edge. Each entry is (preference, (x, A mask)): the witness
+    pair is covered for the first time by its own circuit, which is what
+    makes the reversed output a sequential decomposition witness.
     """
     check = verify_spanning_tree(tree, diagram)
     if not check:
         raise RumkitError(f"invalid spanning tree: {check.violations[0]}")
     universe = diagram.universe
     full = universe.full_mask
-    index = lattice(universe.n).index
     pairs = diagram.pairs
     tree_edges = tree.tree_edges
-    available = set(tree_edges)
-    available.add(diagram.appended_edge_id)
 
     basis: list[tuple[Preference, tuple[int, int]]] = []
     # a stable sort of the canonical order by menu size keeps masks and then
@@ -221,21 +211,9 @@ def preference_basis(
         up: list[int] = []
         node = mask
         while node != full:
-            par, pe = tree.parent[node]
-            up.append(pe)
-            node = par
+            node, pe = tree.parent[node]
+            up.append(pairs[pe][0])
         up.reverse()
-        available.add(eid)
-        ranking = [pairs[pe][0] for pe in up]
-        ranking.append(x)
-        cur = mask ^ (1 << x)
-        while cur:
-            for y in bits_of(cur):
-                if index[(y, cur)] in available:
-                    break
-            else:
-                raise RumkitError(f"descent stuck below {universe.describe_mask(cur)}")
-            ranking.append(y)
-            cur ^= 1 << y
-        basis.append((Preference(universe, tuple(ranking)), (x, mask)))
+        ranking = (*up, x, *bits_of(mask ^ (1 << x)))
+        basis.append((Preference(universe, ranking), (x, mask)))
     return tuple(basis)

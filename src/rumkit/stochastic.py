@@ -376,7 +376,7 @@ def flow_conservation_check(q: MobiusInverse) -> FlowCheck:
     coords = lattice(n)
     numerators = q.numerators
     out = dict.fromkeys(range(1, full + 1), 0)
-    for (x, mask), v in zip(coords.keys, numerators):
+    for (_, mask), v in zip(coords.keys, numerators):
         out[mask] += v
     index = coords.index
     bad = []
@@ -407,6 +407,19 @@ class ChoiceData:
     seed: int | None
 
 
+def check_sample_fields(
+    trials: object, seed: object, error: type[RumkitError] = RumkitError
+) -> None:
+    """Refuse a trials that is not a positive integer or a seed that is not an
+    integer, raising error; None stands for an absent field and passes."""
+    if trials is not None and (
+        isinstance(trials, bool) or not isinstance(trials, int) or trials < 1
+    ):
+        raise error(f"trials: expected a positive integer, got {shown(trials)}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise error(f"seed: expected an integer, got {shown(seed)}")
+
+
 def sample_empirical_rule(
     dist: PreferenceDistribution, trials: int, seed: int
 ) -> ChoiceData:
@@ -417,8 +430,9 @@ def sample_empirical_rule(
     and exact as a frequency table (count / trials). More than MAX_DRAWS
     draws in all (trials per menu times 2^n - 1 menus) are refused.
     """
-    if trials < 1:
-        raise RumkitError(f"trials must be >= 1, got {trials}")
+    if trials is None:
+        raise RumkitError("trials: expected a positive integer, got None")
+    check_sample_fields(trials, seed)
     universe = dist.universe
     if trials * universe.full_mask > MAX_DRAWS:
         raise RumkitError(

@@ -16,13 +16,16 @@ from rumkit import (
     PreferenceDistribution,
     RandomChoiceRule,
     RumkitError,
+    SpanningTree,
     Universe,
     double_cover_model,
     lattice,
     mobius_inverse,
     rcr_from_distribution,
 )
+from rumkit.core import bits_of
 from rumkit.documents import dump_choice_data
+from rumkit.flowgraph import FlowDiagram
 
 
 def random_preference(rng: random.Random, universe: Universe) -> Preference:
@@ -207,6 +210,51 @@ def nullspace_vector(vectors) -> list[Fraction]:
         pivot_rows.append((row, col))
         row += 1
     raise ValueError("no nullspace vector: the vectors are linearly independent")
+
+
+def random_spanning_tree(rng: random.Random, diagram: FlowDiagram) -> SpanningTree:
+    """A valid spanning tree of the appended diagram: every node below the full
+    set links to itself plus one random missing element."""
+    n = diagram.universe.n
+    full = diagram.universe.full_mask
+    index = lattice(n).index
+    parent = {full: (0, diagram.appended_edge_id)}
+    for child in range(1, full):
+        y = rng.choice([y for y in range(n) if not child >> y & 1])
+        parent[child] = (child | 1 << y, index[(y, child | 1 << y)])
+    return SpanningTree(parent)
+
+
+def search_basis(
+    tree: SpanningTree, diagram: FlowDiagram
+) -> list[tuple[Preference, tuple[int, int]]]:
+    """Oracle for preference_basis: sweep non-tree edges by level, walk the tree
+    path down to the edge's menu, then search the descent one step at a time,
+    removing the smallest element whose edge is a tree edge or was swept
+    before."""
+    universe = diagram.universe
+    index = lattice(universe.n).index
+    pairs = diagram.pairs
+    tree_edges = tree.tree_edges
+    available = set(tree_edges) | {diagram.appended_edge_id}
+    basis = []
+    for eid in sorted(range(len(pairs)), key=lambda e: pairs[e][1].bit_count()):
+        if eid in tree_edges:
+            continue
+        x, mask = pairs[eid]
+        path, node = [], mask
+        while node != universe.full_mask:
+            node, pe = tree.parent[node]
+            path.append(pairs[pe][0])
+        available.add(eid)
+        ranking = path[::-1] + [x]
+        cur = mask ^ (1 << x)
+        while cur:
+            y = next(y for y in bits_of(cur) if index[(y, cur)] in available)
+            ranking.append(y)
+            cur ^= 1 << y
+        basis.append((Preference(universe, tuple(ranking)), (x, mask)))
+    return basis
 
 
 @pytest.fixture

@@ -220,6 +220,18 @@ class TestExitCodes:
         )
         assert not (tmp_path / "d.json").exists()
 
+    def test_zero_samples_refused(self, capsys, tmp_path):
+        fixture, nu = tmp_path / "fishburn.json", tmp_path / "nu1.json"
+        run(capsys, "fixtures", "--name", "fishburn", "--out", str(fixture))
+        run(capsys, "fixtures", "--name", "fishburn-nu1", "--out", str(nu))
+        code, out, err = run(
+            capsys, "generate", "--model", str(fixture), "--dist", str(nu),
+            "--out", str(tmp_path / "d.json"), "--samples", "0",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: trials: expected a positive integer, got 0\n"
+        assert not (tmp_path / "d.json").exists()
+
     def test_failed_write_to_stdout_is_input_error(self, capsys, monkeypatch):
         class BrokenStdout(io.StringIO):
             def write(self, text):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,17 @@ from rumkit.documents import (
     save_distribution,
     save_model,
 )
+
+
+# (trials, seed, the loader's message) for sample fields no document may hold
+BAD_SAMPLE_FIELDS = [
+    pytest.param(2.0, None, "trials: expected a positive integer, got 2.0", id="trials-float"),
+    pytest.param(True, None, "trials: expected a positive integer, got True", id="trials-bool"),
+    pytest.param(0, None, "trials: expected a positive integer, got 0", id="trials-zero"),
+    pytest.param(8, "abc", "seed: expected an integer, got 'abc'", id="seed-str"),
+    pytest.param(8, True, "seed: expected an integer, got True", id="seed-bool"),
+    pytest.param(8, 1.5, "seed: expected an integer, got 1.5", id="seed-float"),
+]
 
 
 @pytest.fixture
@@ -206,6 +218,23 @@ class TestChoiceDataDocuments:
         pair = next(e for e in doc["entries"] if len(e["menu"]) == 2)
         assert sorted(pair["counts"].values()) == [2, 4]
         assert parse_choice_data(doc).trials == 6
+
+    @pytest.mark.parametrize("trials, seed, message", BAD_SAMPLE_FIELDS)
+    def test_bad_sample_fields_are_not_written(self, tmp_path, trials, seed, message):
+        nu1, _ = fishburn_distributions()
+        rule = rcr_from_distribution(nu1)
+        path = tmp_path / "p.json"
+        with pytest.raises(RumkitError, match=re.escape(message)):
+            save_choice_data(rule, path, trials, seed)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("trials, seed, message", BAD_SAMPLE_FIELDS)
+    def test_bad_sample_fields_are_not_loaded(self, trials, seed, message):
+        nu1, _ = fishburn_distributions()
+        doc = dump_choice_data(rcr_from_distribution(nu1), 8, 0)
+        doc["trials"], doc["seed"] = trials, seed
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            parse_choice_data(doc)
 
     def test_missing_menu_rejected(self):
         nu1, _ = fishburn_distributions()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
 from math import factorial
 
 import pytest
 
+from conftest import random_spanning_tree, search_basis
 from rumkit import (
     CapExceededError,
+    Model,
     Preference,
     RumkitError,
     SpanningTree,
@@ -14,8 +17,10 @@ from rumkit import (
     build_diagram,
     cyclomatic_number,
     directed_spanning_tree,
+    lattice,
     max_identified_size,
     preference_basis,
+    validate_witness,
     verify_spanning_tree,
 )
 from rumkit.core import CAP_ENV_VAR
@@ -38,13 +43,17 @@ class TestBuildDiagram:
         assert d.edge_endpoints(0) == (1, 0)
         assert d.edge_endpoints(d.appended_edge_id) == (0, 1)
 
-
     def test_edge_ids_read_without_the_cap(self, monkeypatch):
         # the lattice cap is checked when the diagram is built, not per edge
         u = Universe.of_size(4)
         d = build_diagram(u)
+        tree = directed_spanning_tree(d)
+        expected = preference_basis(tree, d)
         monkeypatch.setenv(CAP_ENV_VAR, "3")
-        assert [d.edge_id(*pair) for pair in d.pairs] == list(range(len(d.pairs)))
+        assert [d.edge_endpoints(eid) for eid in range(len(d.pairs))] == [
+            (mask, mask ^ 1 << x) for x, mask in d.pairs
+        ]
+        assert preference_basis(tree, d) == expected
         with pytest.raises(CapExceededError):
             build_diagram(u)
 
@@ -177,8 +186,9 @@ class TestPreferenceBasis:
         witness_keys = {key for _, key in basis}
         assert len(witness_keys) == 18
         tree_edges = directed_spanning_tree(d).tree_edges
+        index = lattice(4).index
         for _, (x, mask) in basis:
-            assert d.edge_id(x, mask) not in tree_edges
+            assert index[(x, mask)] not in tree_edges
         for pref, (x, mask) in basis:
             assert pref.contour_menu_mask(x) == mask
 
@@ -199,3 +209,32 @@ class TestPreferenceBasis:
         parent[par] = (child, eid)
         with pytest.raises(RumkitError, match="invalid spanning tree"):
             preference_basis(SpanningTree(parent), d)
+
+
+def assert_reversed_is_witness(basis) -> None:
+    universe = basis[0][0].universe
+    model = Model.of(universe, [pref for pref, _ in basis])
+    assert validate_witness(model, basis[::-1])
+
+
+class TestBasisAgainstSearch:
+    """The closed-form basis equals the step-by-step descent search."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_default_tree(self, n):
+        d = build_diagram(Universe.of_size(n))
+        tree = directed_spanning_tree(d)
+        basis = preference_basis(tree, d)
+        assert list(basis) == search_basis(tree, d)
+        assert_reversed_is_witness(basis)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_tree(self, seed):
+        rng = random.Random(seed)
+        d = build_diagram(Universe.of_size(2 + seed % 6))
+        tree = random_spanning_tree(rng, d)
+        assert verify_spanning_tree(tree, d).ok
+        basis = preference_basis(tree, d)
+        assert len(basis) == cyclomatic_number(d)
+        assert list(basis) == search_basis(tree, d)
+        assert_reversed_is_witness(basis)

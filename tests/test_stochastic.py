@@ -452,6 +452,21 @@ class TestSampling:
         sample = sample_empirical_rule(nu, trials=40, seed=7)
         assert document_counts(sample) == linear_scan_counts(nu, trials=40, seed=7)
 
+    @pytest.mark.parametrize("trials, seed, message", [
+        pytest.param(True, 0, "trials: expected a positive integer, got True", id="trials-bool"),
+        pytest.param(2.0, 0, "trials: expected a positive integer, got 2.0", id="trials-float"),
+        pytest.param(0, 0, "trials: expected a positive integer, got 0", id="trials-zero"),
+        pytest.param(None, 0, "trials: expected a positive integer, got None", id="trials-none"),
+        pytest.param(8, "abc", "seed: expected an integer, got 'abc'", id="seed-str"),
+        pytest.param(8, 1.5, "seed: expected an integer, got 1.5", id="seed-float"),
+        pytest.param(8, True, "seed: expected an integer, got True", id="seed-bool"),
+    ])
+    def test_bad_sample_fields_refused_before_drawing(self, monkeypatch, trials, seed, message):
+        nu1, _ = fishburn_distributions()
+        monkeypatch.setattr(random, "Random", None)  # any draw would fail differently
+        with pytest.raises(RumkitError, match=re.escape(message)):
+            sample_empirical_rule(nu1, trials, seed)
+
     def test_draw_cap_refused_before_drawing(self):
         nu1, _ = fishburn_distributions()  # 4 alternatives, 15 menus
         assert MAX_DRAWS == 10**8
