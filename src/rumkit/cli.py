@@ -48,7 +48,6 @@ from .flowgraph import (
 from .identify import is_identified, max_identified_size
 from .stochastic import (
     PreferenceDistribution,
-    as_fraction,
     check_stochastic_rationality_necessary,
     flow_conservation_check,
     mobius_inverse,
@@ -229,9 +228,8 @@ def _cmd_mobius(args: argparse.Namespace) -> Result:
 def _cmd_recover(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     data = documents.load_choice_data(args.data)
-    tolerance = as_fraction(args.tolerance) if args.tolerance else Fraction(0)
     try:
-        report = recover_distribution(model, data.rule, tolerance)
+        report = recover_distribution(model, data.rule, args.tolerance or 0)
     except NotEdgeDecomposableError as exc:
         return NEGATIVE, {"status": "not-edge-decomposable", "error": str(exc)}, [str(exc)]
     universe = model.universe
@@ -433,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("extend", _cmd_extend, "grow a decomposable model until maximal")
+    p = add("extend", _cmd_extend,
+            "grow a decomposable model until every contour pair meets the model")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
 

@@ -21,6 +21,7 @@ from .stochastic import (
     MobiusInverse,
     PreferenceDistribution,
     RandomChoiceRule,
+    _from_shares,
     _superset_transform,
     as_fraction,
     mobius_inverse,
@@ -79,17 +80,18 @@ def validate_witness(
     The witness lists (preference, (x, A mask)) entries in removal order.
     Raises WitnessError unless it covers the model exactly once and every key
     is a contour pair on the model's universe; the keys are checked by
-    arithmetic, so no lattice is built and no cap applies.
+    arithmetic, so no lattice is built and no cap applies. A sweep from the end
+    counts the suffix's contour keys: with one key per x in each member, (x, A)
+    is unique to pref when it is pref's key and the suffix covers it once.
     """
-    listed = [pref for pref, _ in witness]
-    if sorted(listed, key=lambda p: p.ranking) != list(model.preferences):
+    if sorted((p for p, _ in witness), key=lambda p: p.ranking) != list(model):
         raise WitnessError("witness does not cover the model exactly once")
     for _, key in witness:
         model.universe.require_pair(key, WitnessError)
-    for i, (pref, (x, mask)) in enumerate(witness):
-        suffix = listed[i:]
-        members = [p for p in suffix if p.contour_menu_mask(x) == mask]
-        if members != [pref]:
+    cover = Counter()
+    for pref, (x, mask) in reversed(witness):
+        cover.update(pref.contour_keys())
+        if pref.contour_menu_mask(x) != mask or cover[(x, mask)] != 1:
             return False
     return True
 
@@ -121,10 +123,7 @@ class RecoveryReport:
         return self.status is not RecoveryStatus.FAILED
 
     def mass_of(self, pref: Preference) -> Fraction:
-        for p, m in self.masses:
-            if p == pref:
-                return m
-        return Fraction(0)
+        return dict(self.masses).get(pref, Fraction(0))
 
 
 RuleOrInverse = Union[RandomChoiceRule, MobiusInverse]
@@ -199,13 +198,10 @@ def recover_distribution(
             residual.append((key, Fraction(diff, denominator)))
             worst = max(worst, abs(diff))
 
-    ordered = tuple(
-        (pref, Fraction(value, denominator))
-        for pref, value in sorted(peeled.items(), key=lambda item: item[0].ranking)
-    )
+    ordered = tuple((p, Fraction(peeled[p], denominator)) for p in model.preferences)
     valid_range = all(0 <= value <= denominator for value in peeled.values())
     if not residual and valid_range and sum(peeled.values()) == denominator:
-        dist = PreferenceDistribution(model, dict(ordered))
+        dist = _from_shares(model, peeled)
         return RecoveryReport(RecoveryStatus.EXACT, ordered, (), dist, tol)
     if valid_range and Fraction(worst, denominator) <= tol and tol > 0:
         return RecoveryReport(

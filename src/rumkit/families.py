@@ -8,7 +8,6 @@ Preference whose ranking lists the order best first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .core import (
@@ -267,45 +266,40 @@ def carum_recover(rule: RandomChoiceRule) -> CarumRecovery:
     return CarumRecovery(order, model, report.distribution)
 
 
-# fixture universes
+# fixture models: each preference's labels best first; the universe is the
+# sorted labels of the first
+_FIXTURE_RANKINGS = {
+    "fishburn": ("abcd", "badc", "abdc", "bacd"),
+    "double-cover": (
+        "fgdhceab", "hgefbdac", "fghedcab", "hgfdceba",
+        "gfdhebac", "ghfdebca", "gfhebdca", "ghefdcba",
+    ),
+    "shadowed-triple": ("abcd", "badc", "abdc"),
+    "no-single-crossing": ("abcdfe", "abdcef", "bacdef"),
+}
 
-def _fishburn_universe() -> Universe:
-    return Universe(("a", "b", "c", "d"))
+
+def _fixture_model(name: str) -> Model:
+    rankings = _FIXTURE_RANKINGS[name]
+    u = Universe(tuple(sorted(rankings[0])))
+    return Model.of(u, [preference_from_labels(u, r) for r in rankings])
 
 
 def fishburn_model() -> Model:
     """Four preferences over {a, b, c, d} forming the classic
     non-identified model."""
-    u = _fishburn_universe()
-    return Model.of(
-        u,
-        [
-            preference_from_labels(u, "abcd"),
-            preference_from_labels(u, "badc"),
-            preference_from_labels(u, "abdc"),
-            preference_from_labels(u, "bacd"),
-        ],
-    )
+    return _fixture_model("fishburn")
 
 
 def fishburn_distributions() -> tuple[PreferenceDistribution, PreferenceDistribution]:
     """Two distinct half-half distributions that induce the same rule."""
     model = fishburn_model()
-    u = model.universe
-    half = Fraction(1, 2)
-    nu1 = PreferenceDistribution(
-        model,
-        {
-            preference_from_labels(u, "abcd"): half,
-            preference_from_labels(u, "badc"): half,
-        },
-    )
-    nu2 = PreferenceDistribution(
-        model,
-        {
-            preference_from_labels(u, "abdc"): half,
-            preference_from_labels(u, "bacd"): half,
-        },
+    rankings = _FIXTURE_RANKINGS["fishburn"]
+    nu1, nu2 = (
+        PreferenceDistribution(
+            model, {preference_from_labels(model.universe, r): "1/2" for r in half}
+        )
+        for half in (rankings[:2], rankings[2:])
     )
     return nu1, nu2
 
@@ -316,46 +310,19 @@ def double_cover_model() -> Model:
     The model is identified even though the double cover defeats every
     peeling order, so recover_distribution cannot invert its data.
     """
-    u = Universe(tuple("abcdefgh"))
-    rankings = [
-        "fgdhceab",
-        "hgefbdac",
-        "fghedcab",
-        "hgfdceba",
-        "gfdhebac",
-        "ghfdebca",
-        "gfhebdca",
-        "ghefdcba",
-    ]
-    return Model.of(u, [preference_from_labels(u, r) for r in rankings])
+    return _fixture_model("double-cover")
 
 
 def shadowed_triple_model() -> Model:
     """Three preferences over {a..d}; one is shadowed everywhere (none of its
     contour pairs is unique to it) yet the model peels fine."""
-    u = _fishburn_universe()
-    return Model.of(
-        u,
-        [
-            preference_from_labels(u, "abcd"),
-            preference_from_labels(u, "badc"),
-            preference_from_labels(u, "abdc"),
-        ],
-    )
+    return _fixture_model("shadowed-triple")
 
 
 def no_single_crossing_model() -> Model:
     """Three preferences over {a..f} that are edge decomposable but admit no
     single-crossing order at all."""
-    u = Universe(tuple("abcdef"))
-    return Model.of(
-        u,
-        [
-            preference_from_labels(u, "abcdfe"),
-            preference_from_labels(u, "abdcef"),
-            preference_from_labels(u, "bacdef"),
-        ],
-    )
+    return _fixture_model("no-single-crossing")
 
 
 def fixtures() -> dict[str, object]:

@@ -21,7 +21,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Model, Preference, lattice, require_vector_cap
 from .errors import RumkitError
-from .stochastic import PreferenceDistribution, point_mass, rcr_from_distribution
+from .stochastic import (
+    PreferenceDistribution,
+    _from_shares,
+    _over_lcm,
+    point_mass,
+    rcr_from_distribution,
+)
 
 
 def mobius_vector(pref: Preference) -> tuple[int, ...]:
@@ -134,9 +140,9 @@ def rank(vectors: Iterable[Sequence]) -> int:
             length = len(vec)
         elif len(vec) != length:
             raise RumkitError(f"vectors have mixed lengths {length} and {len(vec)}")
-        entries = {c: Fraction(vec[c]) for c in compress(count(), vec)}
-        scale = math.lcm(*(f.denominator for f in entries.values()))
-        rows.append({c: f.numerator * (scale // f.denominator) for c, f in entries.items()})
+        coordinates = list(compress(count(), vec))
+        numerators, _ = _over_lcm([Fraction(vec[c]) for c in coordinates])
+        rows.append(dict(zip(coordinates, numerators)))
     return sum(combo is None for combo in _eliminate(rows))
 
 
@@ -163,27 +169,21 @@ class IdentificationResult:
         return self.identified
 
 
-def _certificate(model: Model, coeffs: dict[int, Fraction]) -> NullspaceCertificate:
-    pos: dict[Preference, Fraction] = {}
-    neg: dict[Preference, Fraction] = {}
-    nonzero = []
-    for j, pref in enumerate(model.preferences):
-        c = coeffs.get(j, 0)
-        if c > 0:
-            pos[pref] = c
-        elif c < 0:
-            neg[pref] = -c
-        if c != 0:
-            nonzero.append((pref, c))
-    pos_total = sum(pos.values(), Fraction(0))
-    neg_total = sum(neg.values(), Fraction(0))
-    if not pos or not neg:
+def _certificate(model: Model, combo: dict[int, int]) -> NullspaceCertificate:
+    """Certify a zero integer combination of Mobius vectors: coefficients over
+    the entry of its last row, the one depending on the rows before it; nu and
+    nu_prime normalize the parts with that entry's sign and the other sign."""
+    lead = combo[max(combo)]
+    terms = [(model.preferences[j], combo[j]) for j in sorted(combo)]
+    pos = {p: abs(v) for p, v in terms if (v > 0) == (lead > 0)}
+    neg = {p: abs(v) for p, v in terms if (v > 0) != (lead > 0)}
+    if not neg:
         raise RumkitError("degenerate nullspace vector: one-signed coefficients")
-    nu = PreferenceDistribution(model, {p: c / pos_total for p, c in pos.items()})
-    nu_prime = PreferenceDistribution(model, {p: c / neg_total for p, c in neg.items()})
+    nu, nu_prime = _from_shares(model, pos), _from_shares(model, neg)
     if rcr_from_distribution(nu) != rcr_from_distribution(nu_prime):
         raise RumkitError("certificate distributions do not induce the same rule")
-    return NullspaceCertificate(tuple(nonzero), nu, nu_prime)
+    coefficients = tuple((p, Fraction(v, lead)) for p, v in terms)
+    return NullspaceCertificate(coefficients, nu, nu_prime)
 
 
 def is_identified(model: Model) -> IdentificationResult:
@@ -204,11 +204,8 @@ def is_identified(model: Model) -> IdentificationResult:
     if rank(mobius_vector(pref) for pref in model) == len(model):
         return IdentificationResult(True, None)
     rows = ({index[key]: 1 for key in pref.contour_keys()} for pref in model)
-    i, combo = next(
-        (i, combo) for i, combo in enumerate(_eliminate(rows)) if combo is not None
-    )
-    dependency = {j: Fraction(v, combo[i]) for j, v in combo.items()}
-    return IdentificationResult(False, _certificate(model, dependency))
+    combo = next(combo for combo in _eliminate(rows) if combo is not None)
+    return IdentificationResult(False, _certificate(model, combo))
 
 
 def max_identified_size(n: int) -> int:

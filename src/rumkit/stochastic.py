@@ -4,8 +4,8 @@ All probability arithmetic is exact and nothing is ever rounded.
 Floating-point inputs are rejected because the identification questions
 downstream are exact statements. A table over the pair lattice (a rule p or
 its Mobius inverse q) is stored as integer numerators in the coordinate order
-of core.lattice(n) over one denominator; Fractions are made only at the API
-edge, when a caller reads an entry. Distribution masses are Fractions.
+of core.lattice(n) over one denominator, and so is a distribution; Fractions
+are made only at the API edge, when a caller reads an entry.
 
 Every sum over supersets goes through one kernel, _superset_transform: Yates's
 per-coordinate transform on the subset lattice of each alternative, n(n-1)
@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Mapping, Union
 
 from .core import Lattice, Model, Preference, Universe, lattice
@@ -77,6 +78,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise RumkitError(f"cannot interpret {shown(value)} as an exact rational")
 
 
+def _over_lcm(fractions: list[Fraction]) -> tuple[list[int], int]:
+    """Reduced fractions as integers over the lcm of their denominators, which
+    shares no factor with all of them: a prime of the lcm misses the numerator
+    of the entry whose denominator holds its highest power."""
+    denominator = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (denominator // f.denominator) for f in fractions], denominator
+
+
 @dataclass(frozen=True, init=False)
 class _PairTable:
     """Exact-rational map defined on every (x, A) with x in A, A nonempty.
@@ -107,13 +116,7 @@ class _PairTable:
         if len(values) != len(coords.keys):
             extra = next(k for k in values if k not in coords.index)
             raise RumkitError(f"value table has an entry off the lattice: {extra}")
-        fractions = [as_fraction(values[k]) for k in coords.keys]
-        # over the lcm of reduced fractions' denominators the numerators share
-        # no factor with it: a prime of the lcm misses the numerator of the
-        # entry whose denominator holds its highest power
-        denominator = math.lcm(*(f.denominator for f in fractions))
-        numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
-        self._set(universe, numerators, denominator)
+        self._set(universe, *_over_lcm([as_fraction(values[k]) for k in coords.keys]))
 
     @classmethod
     def _of(cls, universe: Universe, numerators, denominator: int):
@@ -160,60 +163,73 @@ class MobiusInverse(_PairTable):
     """q(x, A): the inclusion-exclusion transform of a rule over supersets."""
 
 
+@dataclass(frozen=True, init=False)
 class PreferenceDistribution:
-    """An exact probability mass over the preferences of a model."""
+    """An exact probability mass over the preferences of a model, stored like
+    a table: the support in ranking order, with integer numerators over one
+    positive denominator in reduced form, so equal distributions have equal
+    fields. Fractions are made only at the API edge (entries, mass_of)."""
 
-    def __init__(
-        self, model: Model, mass: Mapping[Preference, RationalLike]
-    ) -> None:
-        entries = []
+    model: Model
+    support: tuple[Preference, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __init__(self, model: Model, mass: Mapping[Preference, RationalLike]) -> None:
+        masses = {}
         for pref, value in mass.items():
             m = as_fraction(value)
             if m < 0:
                 raise RumkitError(f"negative mass {m} on {pref}")
             if pref not in model:
                 raise RumkitError(f"support preference {pref} is not in the model")
-            if m > 0:
-                entries.append((pref, m))
-        # summed as integers over the lcm: adding Fractions one by one would
-        # take a gcd per mass
-        denominator = math.lcm(*(m.denominator for _, m in entries))
-        total = sum(m.numerator * (denominator // m.denominator) for _, m in entries)
+            masses[pref] = m
+        numerators, denominator = _over_lcm(list(masses.values()))
+        total = sum(numerators)
         if total != denominator:
             raise RumkitError(f"masses sum to {Fraction(total, denominator)}, not 1")
-        entries.sort(key=lambda item: item[0].ranking)
-        self.model = model
-        self.entries: tuple[tuple[Preference, Fraction], ...] = tuple(entries)
+        self._set(model, dict(zip(masses, numerators)))
+
+    def _set(self, model: Model, shares: Mapping[Preference, int]) -> None:
+        """Each nonzero share over the sum of the shares, in reduced form."""
+        support = sorted((p for p, v in shares.items() if v), key=lambda p: p.ranking)
+        total = sum(shares.values())
+        common = math.gcd(total, *shares.values())
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "support", tuple(support))
+        object.__setattr__(self, "numerators", tuple(shares[p] // common for p in support))
+        object.__setattr__(self, "denominator", total // common)
 
     @property
     def universe(self) -> Universe:
         return self.model.universe
 
     @property
-    def support(self) -> tuple[Preference, ...]:
-        return tuple(pref for pref, _ in self.entries)
+    def entries(self) -> tuple[tuple[Preference, Fraction], ...]:
+        """(preference, mass) for each member of the support, in ranking order."""
+        d = self.denominator
+        return tuple((p, Fraction(v, d)) for p, v in zip(self.support, self.numerators))
 
     def mass_of(self, pref: Preference) -> Fraction:
-        for p, m in self.entries:
-            if p == pref:
-                return m
-        return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PreferenceDistribution):
-            return NotImplemented
-        return self.model == other.model and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.entries))
+        return dict(self.entries).get(pref, Fraction(0))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{pref}: {m}" for pref, m in self.entries)
         return f"PreferenceDistribution({body})"
 
 
+def _from_shares(model: Model, shares: dict[Preference, int]) -> PreferenceDistribution:
+    """Each share over the sum of the shares, unchecked: the caller passes
+    members of model and nonnegative integers with a positive sum."""
+    dist = object.__new__(PreferenceDistribution)
+    dist._set(model, shares)
+    return dist
+
+
 def point_mass(model: Model, pref: Preference) -> PreferenceDistribution:
-    return PreferenceDistribution(model, {pref: Fraction(1)})
+    if pref not in model:
+        raise RumkitError(f"support preference {pref} is not in the model")
+    return _from_shares(model, {pref: 1})
 
 
 def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
@@ -258,21 +274,19 @@ def _superset_transform(coords: Lattice, numerators, sign: int) -> list[int]:
     return list(coords.to_canonical(t))
 
 
-def _contour_mass(coords: Lattice, entries) -> tuple[list[int], int]:
+def _contour_mass(coords: Lattice, dist) -> tuple[list[int], int]:
     """Each preference's mass placed on its n upper-contour pairs.
 
     Returns reduced numerators in canonical order and their denominator;
     entry (x, A) holds the mass of the preferences whose weak lower contour
     set of x is A.
     """
-    denominator = math.lcm(*(mass.denominator for _, mass in entries))
     numerators = [0] * len(coords.keys)
     index = coords.index
-    for pref, mass in entries:
-        share = mass.numerator * (denominator // mass.denominator)
+    for pref, share in zip(dist.support, dist.numerators):
         for key in pref.contour_keys():
             numerators[index[key]] += share
-    return _reduced(numerators, denominator)
+    return _reduced(numerators, dist.denominator)
 
 
 def rcr_from_distribution(dist: PreferenceDistribution) -> RandomChoiceRule:
@@ -283,7 +297,7 @@ def rcr_from_distribution(dist: PreferenceDistribution) -> RandomChoiceRule:
     """
     universe = dist.universe
     coords = lattice(universe.n)
-    numerators, denominator = _contour_mass(coords, dist.entries)
+    numerators, denominator = _contour_mass(coords, dist)
     return RandomChoiceRule._of(
         universe, _superset_transform(coords, numerators, 1), denominator
     )
@@ -440,21 +454,14 @@ def sample_empirical_rule(
             f"than {MAX_DRAWS} draws"
         )
     rng = random.Random(seed)
-    prefs = [pref for pref, _ in dist.entries]
-    weights = [m for _, m in dist.entries]
-    denom = math.lcm(*(w.denominator for w in weights))
-    thresholds = []
-    acc = 0
-    for w in weights:
-        acc += int(w * denom)
-        thresholds.append(acc)
+    thresholds = list(accumulate(dist.numerators))
     index = lattice(universe.n).index
     numerators = [0] * len(index)
     for mask in range(1, universe.full_mask + 1):
         menu_counts: dict[int, int] = {}
         for _ in range(trials):
-            draw = rng.randrange(denom)
-            best = prefs[bisect.bisect_right(thresholds, draw)].best_in(mask)
+            draw = rng.randrange(dist.denominator)
+            best = dist.support[bisect.bisect_right(thresholds, draw)].best_in(mask)
             menu_counts[best] = menu_counts.get(best, 0) + 1
         for x, c in menu_counts.items():
             numerators[index[(x, mask)]] = c

@@ -18,6 +18,7 @@ from rumkit import (
     RumkitError,
     SpanningTree,
     Universe,
+    WitnessError,
     double_cover_model,
     lattice,
     mobius_inverse,
@@ -255,6 +256,24 @@ def search_basis(
             cur ^= 1 << y
         basis.append((Preference(universe, tuple(ranking)), (x, mask)))
     return basis
+
+
+def validate_witness_by_suffix(
+    model: Model, witness: list[tuple[Preference, tuple[int, int]]]
+) -> bool:
+    """Oracle for validate_witness: copy each suffix and rescan it for the
+    members whose contour key for x is the witnessed (x, A)."""
+    listed = [pref for pref, _ in witness]
+    if sorted(listed, key=lambda p: p.ranking) != list(model.preferences):
+        raise WitnessError("witness does not cover the model exactly once")
+    for _, key in witness:
+        model.universe.require_pair(key, WitnessError)
+    for i, (pref, (x, mask)) in enumerate(witness):
+        suffix = listed[i:]
+        members = [p for p in suffix if p.contour_menu_mask(x) == mask]
+        if members != [pref]:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from conftest import random_distribution, random_model
+from conftest import random_distribution, random_model, validate_witness_by_suffix
 from rumkit import (
     Model,
     NotEdgeDecomposableError,
@@ -156,6 +156,42 @@ class TestValidateWitness:
         with pytest.raises(WitnessError, match=re.escape(str(key))):
             validate_witness(m, [(pref, key), *rest])
 
+    def test_sweep_matches_the_suffix_oracle(self, rng):
+        answers = []
+        for n in range(2, 7):
+            u = Universe.of_size(n)
+            for _ in range(60):
+                m = random_model(rng, u, rng.randrange(1, min(factorial(n), 16) + 1))
+                res = is_edge_decomposable(m)
+                if not res:
+                    continue
+                witness = list(res.witness)
+                swapped, shuffled = list(witness), list(witness)
+                rekeyed, stolen = list(witness), list(witness)
+                i, j = rng.randrange(len(m)), rng.randrange(len(m))
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                rng.shuffle(shuffled)
+                pref, _ = rekeyed[i]
+                x = rng.randrange(n)
+                rekeyed[i] = (pref, (x, pref.contour_menu_mask(x)))
+                stolen[i] = (pref, witness[j][1])
+                for w in (witness, swapped, shuffled, rekeyed, stolen):
+                    answers.append(validate_witness(m, w))
+                    assert answers[-1] is validate_witness_by_suffix(m, w)
+        assert answers.count(True) > 100 and answers.count(False) > 100
+
+    def test_reversed_max_basis_matches_the_suffix_oracle_at_n9(self):
+        d = build_diagram(Universe.of_size(9))
+        basis = preference_basis(directed_spanning_tree(d), d)
+        m = Model.of(d.universe, [p for p, _ in basis])
+        witness = list(basis[::-1])
+        assert validate_witness(m, witness) and validate_witness_by_suffix(m, witness)
+        swapped = [witness[-1], *witness[1:-1], witness[0]]
+        stolen = [(witness[0][0], witness[-1][1]), *witness[1:]]
+        for w in (swapped, stolen):
+            assert not validate_witness(m, w)
+            assert not validate_witness_by_suffix(m, w)
+
     def test_keys_checked_without_the_lattice(self, monkeypatch):
         from rumkit.core import CAP_ENV_VAR
 
@@ -182,6 +218,23 @@ class TestRecoverDistribution:
         report = recover_distribution(m, rcr_from_distribution(dist))
         assert report.status is RecoveryStatus.EXACT
         assert report.distribution == dist
+
+    def test_recovered_distribution_is_the_mapping_form(self, rng):
+        for n in (3, 4, 5):
+            u = Universe.of_size(n)
+            seen = 0
+            while seen < 8:
+                m = random_model(rng, u, rng.randrange(1, min(factorial(n), 12) + 1))
+                if not is_edge_decomposable(m):
+                    continue
+                seen += 1
+                dist = random_distribution(rng, m)
+                rule = rcr_from_distribution(dist)
+                for data in (rule, mobius_inverse(rule)):
+                    report = recover_distribution(m, data)
+                    built = PreferenceDistribution(m, dict(report.masses))
+                    assert report.distribution == built == dist
+                    assert hash(report.distribution) == hash(built)
 
     def test_accepts_mobius_input(self):
         m = shadowed_triple_model()

@@ -8,6 +8,7 @@ from conftest import best_element_rule, nullspace_vector, random_model
 from rumkit import (
     Model,
     Preference,
+    PreferenceDistribution,
     RumkitError,
     Universe,
     all_preferences,
@@ -293,6 +294,35 @@ class TestIsIdentified:
             for i, v in enumerate(mobius_vector(p)):
                 total[i] += c * v
         assert not any(total)
+
+    @pytest.mark.parametrize(
+        "combo, message",
+        [
+            ({0: 1, 2: 3}, "degenerate nullspace vector: one-signed coefficients"),
+            ({1: -2, 3: -1}, "degenerate nullspace vector: one-signed coefficients"),
+            ({0: 1, 2: -1}, "certificate distributions do not induce the same rule"),
+        ],
+    )
+    def test_certificate_refuses_a_combination_that_certifies_nothing(self, combo, message):
+        with pytest.raises(RumkitError, match=f"^{message}$"):
+            identify._certificate(fishburn_model(), combo)
+
+    def test_certificate_distributions_are_the_mapping_form(self, rng):
+        u = Universe.of_size(4)
+        seen = 0
+        while seen < 20:
+            m = random_model(rng, u, rng.randrange(2, 24))
+            cert = is_identified(m).certificate
+            if cert is None:
+                continue
+            seen += 1
+            coeffs = dict(cert.coefficients)
+            pos = {p: c for p, c in coeffs.items() if c > 0}
+            neg = {p: -c for p, c in coeffs.items() if c < 0}
+            for dist, part in ((cert.nu, pos), (cert.nu_prime, neg)):
+                total = sum(part.values())
+                built = PreferenceDistribution(m, {p: c / total for p, c in part.items()})
+                assert dist == built and hash(dist) == hash(built)
 
     @pytest.mark.parametrize("n, most", [(4, 24), (5, 70)])
     def test_rank_and_certificate_match_oracles(self, rng, n, most):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,7 +49,7 @@ from rumkit import (
     validate_rcr,
 )
 from rumkit.core import CAP_ENV_VAR
-from rumkit.stochastic import MAX_DRAWS
+from rumkit.stochastic import MAX_DRAWS, _from_shares
 
 U2 = Universe(("x", "y"))
 U3 = Universe(("x", "y", "z"))
@@ -134,6 +135,40 @@ class TestPreferenceDistribution:
         masses = self.masses(Fraction(0))
         dist = PreferenceDistribution(self.MODEL, masses)
         assert dict(dist.entries) == masses
+
+    @pytest.mark.parametrize("name", ["entries", "model"])
+    def test_fields_are_frozen(self, name):
+        nu1, nu2 = fishburn_distributions()
+        with pytest.raises(FrozenInstanceError):
+            setattr(nu1, name, getattr(nu2, name))
+        assert nu1 != nu2 and nu1 in {nu1}
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("half", ["1/2", Fraction(2, 4), "0.5"])
+    def test_equal_masses_give_equal_fields(self, half, zeros):
+        a, b, c, d = self.MODEL.preferences[:4]
+        mass = {b: half, c: 0, a: half, d: "0/3"} if zeros else {b: half, a: half}
+        dist = PreferenceDistribution(self.MODEL, mass)
+        fields = (dist.model, dist.support, dist.numerators, dist.denominator)
+        assert fields == (self.MODEL, (a, b), (1, 1), 2)
+        reference = PreferenceDistribution(self.MODEL, {a: Fraction(1, 2), b: Fraction(1, 2)})
+        assert dist == reference and hash(dist) == hash(reference)
+        assert dist.entries == ((a, Fraction(1, 2)), (b, Fraction(1, 2)))
+        assert (dist.mass_of(b), dist.mass_of(c)) == (Fraction(1, 2), 0)
+
+    def test_shares_are_reduced(self):
+        a, b, c = self.MODEL.preferences[:3]
+        dist = _from_shares(self.MODEL, {c: 4, a: 2, b: 0})
+        assert (dist.support, dist.numerators, dist.denominator) == ((a, c), (1, 2), 3)
+        assert dist == PreferenceDistribution(self.MODEL, {a: "1/3", c: "2/3"})
+
+    def test_point_mass_is_the_mapping_form(self):
+        pref = self.MODEL.preferences[5]
+        assert point_mass(self.MODEL, pref) == PreferenceDistribution(self.MODEL, {pref: 1})
+        model = Model.of(U3, list(all_preferences(U3))[:2])
+        outside = preference_from_labels(U3, "zyx")
+        with pytest.raises(RumkitError, match=r"^support preference z≻y≻x is not in the model$"):
+            point_mass(model, outside)
 
 
 class TestRuleFromDistribution:
