@@ -81,6 +81,19 @@ def _verify_enumeration(
     return SingleCrossingResult(True, enumeration=enumeration)
 
 
+def _agreement(model: Model) -> list[list[int]]:
+    """agree[x][y] has bit i set when model.preferences[i] ranks x over y; the
+    members are in ranking order, so the lowest set bit is the first such member."""
+    n = model.universe.n
+    agree = [[0] * n for _ in range(n)]
+    for i, pref in enumerate(model.preferences):
+        ranking = pref.ranking
+        for a, x in enumerate(ranking):
+            for y in ranking[a + 1 :]:
+                agree[x][y] |= 1 << i
+    return agree
+
+
 def check_single_crossing(
     model: Model,
     order: Preference,
@@ -92,7 +105,8 @@ def check_single_crossing(
     monotone along it. Without one, decide existence: the agreement sets
     S(x, y) = members ranking x over y (for x above y in the order) admit a
     common suffix realization exactly when they are pairwise nested; if they
-    are, sort members by how many sets contain them and re-verify.
+    are, sort members by how many sets contain them and re-verify. The sets
+    are member bitmasks, built once per model.
     """
     require_same_universe(model, order)
     if enumeration is not None:
@@ -101,31 +115,26 @@ def check_single_crossing(
             raise RumkitError("enumeration does not list the model exactly once")
         return _verify_enumeration(tuple(enumeration), order)
 
+    agree = _agreement(model)
     pairs = _ordered_pairs(order)
-    sets: dict[tuple[int, int], frozenset[Preference]] = {
-        (x, y): frozenset(p for p in model if p.prefers(x, y)) for x, y in pairs
-    }
-    for i, a in enumerate(pairs):
-        for b in pairs[i + 1 :]:
-            sa, sb = sets[a], sets[b]
-            if not (sa <= sb or sb <= sa):
+    sets = [agree[x][y] for x, y in pairs]
+    prefs = model.preferences
+    for i, (a, sa) in enumerate(zip(pairs, sets)):
+        for b, sb in zip(pairs[i + 1 :], sets[i + 1 :]):
+            only_a, only_b = sa & ~sb, sb & ~sa
+            if only_a and only_b:
                 u = order.universe
-                pref_a = next(iter(sorted(sa - sb, key=lambda p: p.ranking)))
-                pref_b = next(iter(sorted(sb - sa, key=lambda p: p.ranking)))
+                witnesses = (prefs[(d & -d).bit_length() - 1] for d in (only_a, only_b))
                 return SingleCrossingResult(
                     False,
                     conflict=(
                         f"agreement sets for ({u.labels[a[0]]},{u.labels[a[1]]}) and "
                         f"({u.labels[b[0]]},{u.labels[b[1]]}) cross"
                     ),
-                    conflict_prefs=(pref_a, pref_b),
+                    conflict_prefs=tuple(witnesses),
                 )
-    counts = {
-        pref: sum(1 for s in sets.values() if pref in s) for pref in model
-    }
-    ordered = tuple(
-        sorted(model.preferences, key=lambda p: (counts[p], p.ranking))
-    )
+    counts = {p: sum(s >> i & 1 for s in sets) for i, p in enumerate(prefs)}
+    ordered = tuple(sorted(prefs, key=counts.__getitem__))
     verified = _verify_enumeration(ordered, order)
     if not verified:
         raise RumkitError("nested agreement sets failed re-verification")
@@ -144,19 +153,25 @@ class OrderSearchResult:
 
 
 def scrum_order_exists(model: Model) -> OrderSearchResult:
-    """Exhaustively search all n! exogenous orders for a single-crossing one."""
+    """Exhaustively search all n! exogenous orders for a single-crossing one.
+
+    The agreement sets are member bitmasks, built once per model; an order
+    passes when its sets, sorted by size, are each a subset of the next."""
     universe = model.universe
     if universe.n > SCRUM_SEARCH_CAP:
         raise CapExceededError(
             f"order search is exhaustive over n! orders and capped at "
             f"n={SCRUM_SEARCH_CAP}, got n={universe.n}"
         )
+    agree = _agreement(model)
     checked = 0
     for perm in permutations(range(universe.n)):
-        order = Preference(universe, perm)
         checked += 1
-        result = check_single_crossing(model, order)
-        if result:
+        sets = [agree[x][y] for i, x in enumerate(perm) for y in perm[i + 1 :]]
+        sets.sort(key=int.bit_count)
+        if all(a & ~b == 0 for a, b in zip(sets, sets[1:])):
+            order = Preference(universe, perm)
+            result = check_single_crossing(model, order)
             return OrderSearchResult(True, order, result.enumeration, checked)
     return OrderSearchResult(False, None, None, checked)
 

@@ -25,6 +25,7 @@ from .stochastic import (
     PreferenceDistribution,
     _from_shares,
     _over_lcm,
+    as_fraction,
     point_mass,
     rcr_from_distribution,
 )
@@ -128,10 +129,10 @@ def _eliminate(rows: Iterable[dict[int, int]]) -> Iterator[dict[int, int] | None
 def rank(vectors: Iterable[Sequence]) -> int:
     """Exact rank over the rationals of equal-length vectors.
 
-    Entries are anything Fraction accepts; each row is scaled by the lcm of
-    its denominators into integers before the elimination. The vectors are
-    read once, in order, and only their nonzero entries are kept, so they
-    may come from a generator.
+    Entries are exact rationals, read by as_fraction, so a float is refused;
+    each row is scaled by the lcm of its denominators into integers before
+    the elimination. The vectors are read once, in order, and only their
+    nonzero entries are kept, so they may come from a generator.
     """
     rows = []
     length = None
@@ -141,7 +142,7 @@ def rank(vectors: Iterable[Sequence]) -> int:
         elif len(vec) != length:
             raise RumkitError(f"vectors have mixed lengths {length} and {len(vec)}")
         coordinates = list(compress(count(), vec))
-        numerators, _ = _over_lcm([Fraction(vec[c]) for c in coordinates])
+        numerators, _ = _over_lcm([as_fraction(vec[c]) for c in coordinates])
         rows.append(dict(zip(coordinates, numerators)))
     return sum(combo is None for combo in _eliminate(rows))
 

@@ -150,6 +150,7 @@ class _PairTable:
         return dict(self.items())
 
 
+@dataclass(frozen=True, init=False)
 class RandomChoiceRule(_PairTable):
     """p(x, A): how frequently x is chosen from menu A.
 
@@ -159,6 +160,7 @@ class RandomChoiceRule(_PairTable):
     """
 
 
+@dataclass(frozen=True, init=False)
 class MobiusInverse(_PairTable):
     """q(x, A): the inclusion-exclusion transform of a rule over supersets."""
 

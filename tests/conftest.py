@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -12,13 +13,16 @@ from rumkit import (
     ChoiceData,
     MobiusInverse,
     Model,
+    OrderSearchResult,
     Preference,
     PreferenceDistribution,
     RandomChoiceRule,
     RumkitError,
+    SingleCrossingResult,
     SpanningTree,
     Universe,
     WitnessError,
+    check_single_crossing,
     double_cover_model,
     lattice,
     mobius_inverse,
@@ -274,6 +278,52 @@ def validate_witness_by_suffix(
         if members != [pref]:
             return False
     return True
+
+
+def single_crossing_by_sets(model: Model, order: Preference) -> SingleCrossingResult:
+    """Oracle for check_single_crossing without an enumeration: frozensets of
+    the members ranking x over y, for x above y in the order, compared pairwise
+    for nesting; on success the members sorted by how many sets hold them are
+    verified as an enumeration."""
+    ranking = order.ranking
+    pairs = [(x, y) for i, x in enumerate(ranking) for y in ranking[i + 1 :]]
+    sets = {(x, y): frozenset(p for p in model if p.prefers(x, y)) for x, y in pairs}
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1 :]:
+            sa, sb = sets[a], sets[b]
+            if not (sa <= sb or sb <= sa):
+                u = order.universe
+                return SingleCrossingResult(
+                    False,
+                    conflict=(
+                        f"agreement sets for ({u.labels[a[0]]},{u.labels[a[1]]}) and "
+                        f"({u.labels[b[0]]},{u.labels[b[1]]}) cross"
+                    ),
+                    conflict_prefs=(
+                        min(sa - sb, key=lambda p: p.ranking),
+                        min(sb - sa, key=lambda p: p.ranking),
+                    ),
+                )
+    counts = {pref: sum(pref in s for s in sets.values()) for pref in model}
+    ordered = tuple(sorted(model, key=lambda p: (counts[p], p.ranking)))
+    verified = check_single_crossing(model, order, ordered)
+    if not verified:
+        raise AssertionError("nested agreement sets failed re-verification")
+    return verified
+
+
+def scrum_order_exists_by_check(model: Model) -> OrderSearchResult:
+    """Oracle for scrum_order_exists: build every order in permutation order and
+    decide it with single_crossing_by_sets."""
+    universe = model.universe
+    checked = 0
+    for perm in permutations(range(universe.n)):
+        order = Preference(universe, perm)
+        checked += 1
+        result = single_crossing_by_sets(model, order)
+        if result:
+            return OrderSearchResult(True, order, result.enumeration, checked)
+    return OrderSearchResult(False, None, None, checked)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,8 @@ from conftest import (
     double_cover_closed_form,
     random_distribution,
     random_model,
+    scrum_order_exists_by_check,
+    single_crossing_by_sets,
 )
 from rumkit import (
     CapExceededError,
@@ -137,6 +140,52 @@ class TestScrumOrderSearch:
         m = Model.of(u, [Preference(u, tuple(range(9)))])
         with pytest.raises(CapExceededError):
             scrum_order_exists(m)
+
+
+def random_scrum_case(rng, n: int) -> Model:
+    """A random model at n, every other call a random subset of a maximal
+    single-crossing model, so that yes answers are common."""
+    u = Universe.of_size(n)
+    if n >= 2 and rng.randrange(2):
+        prefs = max_scrum_model(Preference(u, tuple(rng.sample(range(n), n))))[1]
+        return Model.of(u, rng.sample(prefs, rng.randrange(1, len(prefs) + 1)))
+    return random_model(rng, u, min(rng.randrange(1, 7), factorial(n)))
+
+
+class TestBitmaskAgainstOracles:
+    def test_search_matches_per_order_check(self, rng):
+        results = []
+        for _ in range(540):
+            m = random_scrum_case(rng, rng.randrange(1, 7))
+            res = scrum_order_exists(m)
+            assert res == scrum_order_exists_by_check(m)
+            results.append(res.exists)
+        assert 100 < sum(results) < len(results)
+
+    def test_three_swaps_at_seven_search_every_order(self, rng):
+        # the benchmark's no-order shape: adjacent swaps at positions 0-2
+        u = Universe.of_size(7)
+        base = rng.sample(range(7), 7)
+        rankings = []
+        for pos in range(3):
+            r = base[:]
+            r[pos], r[pos + 1] = r[pos + 1], r[pos]
+            rankings.append(tuple(r))
+        m = Model.of(u, [Preference(u, r) for r in rankings])
+        res = scrum_order_exists(m)
+        assert res == scrum_order_exists_by_check(m)
+        assert not res.exists and res.orders_checked == 5040
+
+    def test_check_matches_frozen_sets(self, rng):
+        holds = []
+        for _ in range(600):
+            n = rng.randrange(1, 7)
+            m = random_scrum_case(rng, n)
+            order = Preference(m.universe, tuple(rng.sample(range(n), n)))
+            res = check_single_crossing(m, order)
+            assert res == single_crossing_by_sets(m, order)
+            holds.append(res.holds)
+        assert 100 < sum(holds) < len(holds) - 100
 
 
 class TestMaxScrumModel:

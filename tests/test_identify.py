@@ -150,6 +150,12 @@ class TestRank:
         vectors = [mobius_vector(p) for p in all_preferences(u)]
         assert rank(vectors) == 18
 
+    def test_floats_refused_like_everywhere_else(self):
+        # as binary values 0.1 and 0.3 are not in ratio 1:3
+        assert rank([["0.1", "0.3"], [1, 3]]) == 1
+        with pytest.raises(RumkitError, match="float 0.1 rejected"):
+            rank([[0.1, 0.3], [1, 3]])
+
     def test_fishburn_rank_three(self):
         m = fishburn_model()
         vectors = [mobius_vector(p) for p in m]

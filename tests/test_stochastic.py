@@ -288,6 +288,17 @@ class TestMobiusInverse:
             q = MobiusInverse(u, random_mobius_values(rng, u))
             assert mobius_inverse(mobius_forward(q)) == q
 
+    @pytest.mark.parametrize("name", ["extra", "numerators"])
+    def test_rule_and_inverse_refuse_assignment(self, name):
+        nu1, _ = fishburn_distributions()
+        rule = rcr_from_distribution(nu1)
+        for table in (rule, mobius_inverse(rule)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(table, name, 1)
+        assert rule == rcr_from_distribution(nu1) and rule in {rcr_from_distribution(nu1)}
+        # same fields, other class: a rule never equals an inverse
+        assert MobiusInverse(rule.universe, rule.values) != rule
+
     def test_forward_of_unit_path_is_point_mass_rule(self):
         p = preference_from_labels(U3, "xyz")
         path = {(x, p.contour_menu_mask(x)) for x in p.ranking}
