@@ -24,6 +24,7 @@ from .decompose import (
     is_edge_decomposable,
     recover_distribution,
 )
+from .documents import ranking_text
 from .errors import (
     DocumentError,
     NotCarumError,
@@ -62,16 +63,12 @@ INPUT_ERROR = 2
 Result = tuple[int, dict, list[str]]
 
 
-def _ranking_text(pref: Preference) -> str:
-    return documents.RANKING_SEPARATOR.join(pref.to_labels())
-
-
 def _mass_lines(dist: PreferenceDistribution, label: str = "mass") -> list[str]:
-    return [f"{label}: {_ranking_text(p)} = {m}" for p, m in dist.entries]
+    return [f"{label}: {ranking_text(p)} = {m}" for p, m in dist.entries]
 
 
 def _mass_payload(dist: PreferenceDistribution) -> dict:
-    return {_ranking_text(p): str(m) for p, m in dist.entries}
+    return {ranking_text(p): str(m) for p, m in dist.entries}
 
 
 def _parse_order_labels(raw: str) -> list[str]:
@@ -122,14 +119,14 @@ def _cmd_check_identified(args: argparse.Namespace) -> Result:
         cert = result.certificate
         payload["certificate"] = {
             "coefficients": {
-                _ranking_text(p): str(c) for p, c in cert.coefficients
+                ranking_text(p): str(c) for p, c in cert.coefficients
             },
             "nu": _mass_payload(cert.nu),
             "nu_prime": _mass_payload(cert.nu_prime),
         }
         lines.append("certificate (two distributions inducing the same rule):")
         lines += [
-            f"  coefficient: {_ranking_text(p)} = {c}" for p, c in cert.coefficients
+            f"  coefficient: {ranking_text(p)} = {c}" for p, c in cert.coefficients
         ]
         lines += ["  " + line for line in _mass_lines(cert.nu, "nu")]
         lines += ["  " + line for line in _mass_lines(cert.nu_prime, "nu'")]
@@ -146,14 +143,14 @@ def _cmd_check_edge_decomposable(args: argparse.Namespace) -> Result:
     ]
     if result.decomposable and args.witness:
         describe = model.universe.describe_pair
-        pairs = [(_ranking_text(p), describe(*key)) for p, key in result.witness]
+        pairs = [(ranking_text(p), describe(*key)) for p, key in result.witness]
         payload["witness"] = [{"preference": p, "pair": pair} for p, pair in pairs]
         lines.append("peeling order (preference, witnessed pair):")
         lines += [f"  {p} via {pair}" for p, pair in pairs]
     if not result.decomposable:
-        payload["stuck"] = [_ranking_text(p) for p in result.stuck]
+        payload["stuck"] = [ranking_text(p) for p in result.stuck]
         lines.append(f"stuck submodel ({len(result.stuck)} preferences):")
-        lines += [f"  {_ranking_text(p)}" for p in result.stuck]
+        lines += [f"  {ranking_text(p)}" for p in result.stuck]
     return OK if result.decomposable else NEGATIVE, payload, lines
 
 
@@ -235,11 +232,11 @@ def _cmd_recover(args: argparse.Namespace) -> Result:
     universe = model.universe
     payload: dict = {
         "status": report.status.value,
-        "masses": {_ranking_text(p): str(m) for p, m in report.masses},
+        "masses": {ranking_text(p): str(m) for p, m in report.masses},
         "residual_entries": len(report.residual),
     }
     lines = [f"status: {report.status.value}"]
-    lines += [f"mass: {_ranking_text(p)} = {m}" for p, m in report.masses]
+    lines += [f"mass: {ranking_text(p)} = {m}" for p, m in report.masses]
     if report.residual:
         worst = max(abs(d) for _, d in report.residual)
         payload["max_residual"] = str(worst)
@@ -293,12 +290,12 @@ def _cmd_scrum_max(args: argparse.Namespace) -> Result:
         "n": args.n,
         "order": [universe.labels[i] for i in order.ranking],
         "size": len(model),
-        "enumeration": [_ranking_text(p) for p in enumeration],
+        "enumeration": [ranking_text(p) for p in enumeration],
         "out": str(args.out),
     }
     return OK, payload, [
         f"maximal single-crossing model for order "
-        f"{_ranking_text(order)}: {len(model)} preferences",
+        f"{ranking_text(order)}: {len(model)} preferences",
         f"wrote {args.out}",
     ]
 
@@ -313,12 +310,12 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
         }
         if search.exists:
             payload["order"] = [model.universe.labels[i] for i in search.order.ranking]
-            payload["enumeration"] = [_ranking_text(p) for p in search.enumeration]
+            payload["enumeration"] = [ranking_text(p) for p in search.enumeration]
             lines = [
-                f"single crossing holds for order {_ranking_text(search.order)} "
+                f"single crossing holds for order {ranking_text(search.order)} "
                 f"(searched {search.orders_checked} orders)",
                 "enumeration:",
-            ] + [f"  {_ranking_text(p)}" for p in search.enumeration]
+            ] + [f"  {ranking_text(p)}" for p in search.enumeration]
         else:
             lines = [
                 f"no order admits a single-crossing enumeration "
@@ -330,11 +327,11 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
     result = check_single_crossing(model, order)
     payload = {"single_crossing": result.holds}
     if result.holds:
-        payload["enumeration"] = [_ranking_text(p) for p in result.enumeration]
+        payload["enumeration"] = [ranking_text(p) for p in result.enumeration]
         lines = ["single crossing: yes", "enumeration:"]
-        lines += [f"  {_ranking_text(p)}" for p in result.enumeration]
+        lines += [f"  {ranking_text(p)}" for p in result.enumeration]
     else:
-        a, b = (_ranking_text(p) for p in result.conflict_prefs)
+        a, b = (ranking_text(p) for p in result.conflict_prefs)
         payload.update(conflict=result.conflict, witnesses=[a, b])
         lines = ["single crossing: no", f"conflict: {result.conflict}"]
         lines.append(f"  witnesses: {a} and {b}")
@@ -352,7 +349,7 @@ def _cmd_latin_square(args: argparse.Namespace) -> Result:
         "out": str(args.out),
     }
     return OK, payload, [
-        f"Latin square for order {_ranking_text(order)}: {len(model)} preferences",
+        f"Latin square for order {ranking_text(order)}: {len(model)} preferences",
         f"wrote {args.out}",
     ]
 
@@ -366,11 +363,11 @@ def _cmd_carum_recover(args: argparse.Namespace) -> Result:
     payload = {
         "carum": True,
         "order": [recovery.order.universe.labels[i] for i in recovery.order.ranking],
-        "model": [_ranking_text(p) for p in recovery.model.preferences],
+        "model": [ranking_text(p) for p in recovery.model.preferences],
         "masses": _mass_payload(recovery.distribution),
     }
     lines = [
-        f"recovered order (up to rotation): {_ranking_text(recovery.order)}",
+        f"recovered order (up to rotation): {ranking_text(recovery.order)}",
         f"Latin square model: {len(recovery.model)} preferences",
     ] + _mass_lines(recovery.distribution)
     return OK, payload, lines

@@ -25,6 +25,8 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchError, shown
 
+# joins a ranking's labels in documents and CLI output, so no label holds it
+RANKING_SEPARATOR = ">"
 DEFAULT_LATTICE_CAP = 20
 DEFAULT_VECTOR_CAP = 12
 CAP_ENV_VAR = "RUMKIT_MAX_N"
@@ -77,6 +79,10 @@ class Universe:
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise LabelError(f"label {shown(lab)} is not a nonempty string")
+            if RANKING_SEPARATOR in lab:
+                raise LabelError(
+                    f"label {shown(lab)} contains the ranking separator {RANKING_SEPARATOR!r}"
+                )
             if lab in seen:
                 raise LabelError(f"duplicate label {shown(lab)}")
             seen.add(lab)
@@ -164,9 +170,6 @@ class Preference:
     _suffix_masks: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _positions: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
 
     def __post_init__(self) -> None:
         n = self.universe.n
@@ -174,18 +177,15 @@ class Preference:
             raise RumkitError(
                 f"ranking {self.ranking} is not a permutation of 0..{n - 1}"
             )
-        positions = [0] * n
-        for pos, x in enumerate(self.ranking):
-            positions[x] = pos
         suffix = [0] * (n + 1)
         for pos in range(n - 1, -1, -1):
             suffix[pos] = suffix[pos + 1] | (1 << self.ranking[pos])
-        object.__setattr__(self, "_positions", tuple(positions))
         object.__setattr__(self, "_suffix_masks", tuple(suffix[:n]))
 
     def prefers(self, x: int, y: int) -> bool:
-        """True iff x is ranked strictly above y."""
-        return self._positions[x] < self._positions[y]
+        """True iff x is ranked strictly above y: y is not x and lies in x's
+        weak lower contour set."""
+        return y != x and self.contour_menu_mask(x) >> y & 1 == 1
 
     def best_in(self, mask: int) -> int:
         """The highest-ranked member of the (nonempty) menu mask."""
@@ -195,8 +195,9 @@ class Preference:
         raise RumkitError("best_in of an empty menu")
 
     def contour_menu_mask(self, x: int) -> int:
-        """Mask of the weak lower contour set of x: x and everything below it."""
-        return self._suffix_masks[self._positions[x]]
+        """Mask of the weak lower contour set of x: x and everything below it,
+        the suffix mask at x's position in the ranking."""
+        return self._suffix_masks[self.ranking.index(x)]
 
     def contour_keys(self) -> Iterator[tuple[int, int]]:
         """The n keys (x, weak lower contour set of x), best first: pref's circuit."""

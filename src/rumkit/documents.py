@@ -14,7 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import Model, Universe, bits_of, lattice, preference_from_labels
+from .core import (
+    RANKING_SEPARATOR,
+    Model,
+    Preference,
+    Universe,
+    bits_of,
+    lattice,
+    preference_from_labels,
+)
 from .errors import DocumentError, LabelError, RumkitError, shown
 from .stochastic import (
     ChoiceData,
@@ -26,7 +34,6 @@ from .stochastic import (
 )
 
 FORMAT_VERSION = 1
-RANKING_SEPARATOR = ">"
 
 PathLike = Union[str, Path]
 
@@ -151,23 +158,18 @@ def dump_choice_data(
     index = lattice(universe.n).index
     entries = []
     for mask in range(1, universe.full_mask + 1):
-        members = tuple(bits_of(mask))
-        probabilities = {
-            universe.labels[x]: str(
-                Fraction(rule.numerators[index[(x, mask)]], rule.denominator)
-            )
-            for x in members
-        }
+        members = [
+            (universe.labels[x], rule.numerators[index[(x, mask)]]) for x in bits_of(mask)
+        ]
         entry: dict[str, object] = {
             "menu": list(universe.labels_of(mask)),
-            "probabilities": probabilities,
+            "probabilities": {
+                label: str(Fraction(v, rule.denominator)) for label, v in members
+            },
         }
         if trials is not None:
-            entry["counts"] = {
-                universe.labels[x]: rule.numerators[index[(x, mask)]]
-                * (trials // rule.denominator)
-                for x in members
-            }
+            per_unit = trials // rule.denominator
+            entry["counts"] = {label: v * per_unit for label, v in members}
         entries.append(entry)
     doc: dict[str, object] = {
         "kind": "choice-data",
@@ -305,14 +307,10 @@ def load_choice_data(path: PathLike) -> ChoiceData:
 
 # -- distribution documents --------------------------------------------------
 
-def _ranking_key(labels: tuple[str, ...]) -> str:
-    for lab in labels:
-        if RANKING_SEPARATOR in lab:
-            raise DocumentError(
-                f"label {shown(lab)} contains {RANKING_SEPARATOR!r} and cannot be "
-                f"serialized in a distribution document"
-            )
-    return RANKING_SEPARATOR.join(labels)
+def ranking_text(pref: Preference) -> str:
+    """The preference's labels best first, joined by the ranking separator,
+    which no label contains."""
+    return RANKING_SEPARATOR.join(pref.to_labels())
 
 
 def dump_distribution(dist: PreferenceDistribution) -> dict:
@@ -320,10 +318,7 @@ def dump_distribution(dist: PreferenceDistribution) -> dict:
         "kind": "distribution",
         "version": FORMAT_VERSION,
         "alternatives": list(dist.universe.labels),
-        "masses": {
-            _ranking_key(pref.to_labels()): str(mass)
-            for pref, mass in dist.entries
-        },
+        "masses": {ranking_text(pref): str(mass) for pref, mass in dist.entries},
     }
 
 

@@ -61,10 +61,12 @@ def _ordered_pairs(order: Preference) -> list[tuple[int, int]]:
 def _verify_enumeration(
     enumeration: tuple[Preference, ...], order: Preference
 ) -> SingleCrossingResult:
+    # each member's weak lower contour set of every x, read once
+    lower = [dict(pref.contour_keys()) for pref in enumeration]
     for x, y in _ordered_pairs(order):
         agreed_at = None
         for pos, pref in enumerate(enumeration):
-            if pref.prefers(x, y):
+            if lower[pos][x] >> y & 1:
                 if agreed_at is None:
                     agreed_at = pos
             elif agreed_at is not None:
@@ -234,43 +236,40 @@ def carum_recover(rule: RandomChoiceRule) -> CarumRecovery:
     the empty set carries at most one positive Mobius entry. After verifying
     that, follow the unique positive path from the full set down; the walked
     preference generates the Latin square, and peeling recovers the masses.
-    Any failure along the way signals non-CARUM data.
+    One pass over q collects the positive alternatives of every menu, and
+    both the check and the walk read that table. Any failure along the way
+    signals non-CARUM data.
     """
-    check = validate_rcr(rule)
-    if not check:
+    if not validate_rcr(rule):
         raise RumkitError("input is not a valid random choice rule")
     universe = rule.universe
-    n = universe.n
     full = universe.full_mask
     q = mobius_inverse(rule)
-    index = lattice(n).index
-
-    def positive_at(mask: int) -> list[int]:
-        # q's denominator is positive, so a numerator carries the sign
-        return [
-            x for x in range(n) if mask >> x & 1 and q.numerators[index[(x, mask)]] > 0
-        ]
-
-    for mask in range(1, full):
-        positive = positive_at(mask)
-        if len(positive) > 1:
-            raise NotCarumError(
-                f"menu {universe.describe_mask(mask)} has "
-                f"{len(positive)} positive Mobius entries; a Latin square allows one"
-            )
-    starts = positive_at(full)
-    if not starts:
+    # the alternatives with positive q on each menu, ascending within a menu
+    # (canonical order); q's denominator is positive, so a numerator carries
+    # the sign
+    positive: dict[int, list[int]] = {}
+    for (x, mask), v in zip(lattice(universe.n).keys, q.numerators):
+        if v > 0:
+            positive.setdefault(mask, []).append(x)
+    crowded = [mask for mask, xs in positive.items() if len(xs) > 1 and mask != full]
+    if crowded:
+        mask = min(crowded)
+        raise NotCarumError(
+            f"menu {universe.describe_mask(mask)} has "
+            f"{len(positive[mask])} positive Mobius entries; a Latin square allows one"
+        )
+    if full not in positive:
         raise NotCarumError("no alternative has positive Mobius mass at the full menu")
-    ranking = [starts[0]]
-    mask = full ^ (1 << starts[0])
+    ranking = [positive[full][0]]
+    mask = full ^ (1 << ranking[0])
     while mask:
-        nxt = positive_at(mask)
-        if not nxt:
+        if mask not in positive:
             raise NotCarumError(
                 f"positive path dies at menu {universe.describe_mask(mask)}"
             )
-        ranking.append(nxt[0])
-        mask ^= 1 << nxt[0]
+        ranking.append(positive[mask][0])
+        mask ^= 1 << ranking[-1]
     order = Preference(universe, tuple(ranking))
     model = latin_square(order)
     report = recover_distribution(model, q)

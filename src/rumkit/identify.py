@@ -25,8 +25,8 @@ from .stochastic import (
     PreferenceDistribution,
     _from_shares,
     _over_lcm,
+    _superset_transform,
     as_fraction,
-    point_mass,
     rcr_from_distribution,
 )
 
@@ -45,12 +45,13 @@ def mobius_vector(pref: Preference) -> tuple[int, ...]:
 def rule_vector(pref: Preference) -> tuple[int, ...]:
     """0/1 vector with a one per nonempty menu, at that menu's best element.
 
-    The rule induced by the point mass on pref: its denominator is 1, so its
-    numerators are the 0/1 vector.
+    The rule induced by the point mass on pref: x is best in A exactly when A
+    lies inside x's weak lower contour set, so the vector is the superset sum
+    of pref's circuit. mobius_vector checks the vector cap before the lattice
+    is fetched.
     """
-    require_vector_cap(pref.universe.n)
-    model = Model.of(pref.universe, [pref])
-    return rcr_from_distribution(point_mass(model, pref)).numerators
+    circuit = mobius_vector(pref)
+    return tuple(_superset_transform(lattice(pref.universe.n), circuit, 1))
 
 
 def _screen(rows: Iterable[int]) -> bool:

@@ -33,6 +33,7 @@ from rumkit.documents import (
     save_distribution,
     save_model,
 )
+from rumkit.errors import shown
 
 
 def run(capsys, *argv):
@@ -92,6 +93,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_label_with_the_ranking_separator_is_input_error(self, capsys, tmp_path):
+        # joined by ">", the two rankings would print as one
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "kind": "model", "version": 1, "alternatives": ["a", "a>b", "b>c", "c"],
+            "preferences": [["a>b", "c", "a", "b>c"], ["a", "b>c", "a>b", "c"]],
+        }), encoding="utf-8")
+        refusal = "label 'a>b' contains the ranking separator '>'"
+        code, out, err = run(capsys, "check-identified", "--model", str(path))
+        assert (code, out, err) == (2, "", f"error: alternatives: {refusal}\n")
+        out_file = tmp_path / "ls.json"
+        code, out, err = run(capsys, "latin-square", "--order", "a>b,c", "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        assert not out_file.exists()
 
     def test_bound_capped_at_the_digit_limit(self, capsys):
         assert run(capsys, "bound", "-n", "1558")[0] == 0
@@ -398,6 +414,24 @@ class TestGenerateRecover:
         assert "not a Latin square" in out
 
 
+class TestOneAlternative:
+    def test_round_trip(self, capsys, tmp_path):
+        m, nu, d = (str(tmp_path / name) for name in ("m.json", "nu.json", "d.json"))
+        assert run(capsys, "latin-square", "--order", "a", "--out", m)[0] == 0
+        model = load_model(m)
+        save_distribution(PreferenceDistribution(model, {model.preferences[0]: 1}), nu)
+        assert run(capsys, "generate", "--model", m, "--dist", nu, "--out", d)[0] == 0
+        code, out, _ = run(capsys, "mobius", "--data", d, "--check-flow")
+        assert code == 0
+        assert "q(a, {a}) = 1" in out and "flow conservation: holds" in out
+        code, out, _ = run(capsys, "recover", "--model", m, "--data", d)
+        assert code == 0
+        assert out == "status: exact\nmass: a = 1\n"
+        code, out, _ = run(capsys, "carum-recover", "--data", d)
+        assert code == 0
+        assert "recovered order (up to rotation): a\n" in out and "mass: a = 1\n" in out
+
+
 class TestMobius:
     def test_q_table_and_flow(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"
@@ -484,12 +518,13 @@ class TestReportDeterminism:
 
 
 _HUGE = "<over-long integer>"
+_HOSTILE_VALUES = [
+    "1e100000000", "1E-99999999", "2.5e+3", _HUGE, True, None, 0.5, "",
+    "1/0", "-1/2", "0.25", "1/3", "a", [], {}, ["a"], [["a"]], {"a": "1"},
+    "9" * 5000,
+]
 _HOSTILE = st.one_of(
-    st.sampled_from([
-        "1e100000000", "1E-99999999", "2.5e+3", _HUGE, True, None, 0.5, "",
-        "1/0", "-1/2", "0.25", "1/3", "a", [], {}, ["a"], [["a"]], {"a": "1"},
-        "9" * 5000,
-    ]),
+    st.sampled_from(_HOSTILE_VALUES),
     st.integers(-2, 3),
     st.text(max_size=4),
 )
@@ -506,20 +541,31 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (i,))
 
 
+def _replaced(doc, path, value):
+    """doc with a copy of value at path, in place below the root; the copy
+    keeps a later replacement inside it from changing the shared literals."""
+    value = json.loads(json.dumps(value))
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+def _text(doc):
+    """doc as JSON text, with the over-long integer written out."""
+    return json.dumps(doc).replace(f'"{_HUGE}"', "9" * 5000)
+
+
 @st.composite
 def _hostile_document(draw, doc):
     """doc as JSON text, with up to two values replaced by hostile ones."""
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(doc))))
-        value = draw(_HOSTILE)
-        if not path:
-            doc = value
-            continue
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = value
-    return json.dumps(doc).replace(f'"{_HUGE}"', "9" * 5000)
+        doc = _replaced(doc, path, draw(_HOSTILE))
+    return _text(doc)
 
 
 @st.composite
@@ -572,3 +618,49 @@ def test_cli_exit_contract_on_hostile_documents(docs, command):
     if code == 2:
         assert stderr.getvalue().count("\n") == 1
         assert len(stderr.getvalue()) < 300
+
+
+def _run_quietly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["model", "distribution", "choice-data"])
+def test_cli_exit_contract_on_every_hostile_field(tmp_path, kind):
+    """Each value of an n=2 document, in turn, replaced by each fixed hostile
+    value, read by the command that reads that kind of document."""
+    u = Universe.of_size(2)
+    model = Model.of(u, all_preferences(u))
+    nu = PreferenceDistribution(model, dict(zip(model.preferences, ("1/3", "2/3"))))
+    sample = rumkit.sample_empirical_rule(nu, 6, 0)
+    documents = {
+        "model": dump_model(model),
+        "distribution": dump_distribution(nu),
+        "choice-data": dump_choice_data(sample.rule, sample.trials, sample.seed),
+    }
+    files = {name: tmp_path / f"{name}.json" for name in documents}
+    for name, doc in documents.items():
+        files[name].write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    m, dist, data = (str(files[name]) for name in documents)
+    argv = {
+        "model": ["check-identified", "--model", m, "--certificate"],
+        "distribution": ["generate", "--model", m, "--dist", dist, "--out", out,
+                         "--samples", "5"],
+        "choice-data": ["recover", "--model", m, "--data", data],
+    }[kind]
+    broken = []
+    for path in _paths(documents[kind]):
+        for value in _HOSTILE_VALUES + ["a>b"]:
+            doc = _replaced(json.loads(json.dumps(documents[kind])), path, value)
+            files[kind].write_text(_text(doc), encoding="utf-8")
+            code, err = _run_quietly(argv)
+            if (
+                code not in (0, 1, 2)
+                or "Traceback" in err
+                or code == 2 and (err.count("\n") != 1 or len(err) >= 300)
+            ):
+                broken.append((path, shown(value), code, err[:200]))
+    assert broken == []

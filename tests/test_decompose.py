@@ -13,6 +13,7 @@ from rumkit import (
     NotEdgeDecomposableError,
     Preference,
     PreferenceDistribution,
+    RandomChoiceRule,
     RecoveryStatus,
     RumkitError,
     Universe,
@@ -271,6 +272,17 @@ class TestRecoverDistribution:
         data = rcr_from_distribution(point_mass(m, m.preferences[0]))
         with pytest.raises(NotEdgeDecomposableError):
             recover_distribution(m, data)
+
+    def test_invalid_rule_refused(self):
+        u = Universe.of_size(3)
+        m = latin_square(Preference(u, (0, 1, 2)))
+        values = dict(rcr_from_distribution(point_mass(m, m.preferences[0])).items())
+        values[(1, 0b011)] = Fraction(-1)
+        with pytest.raises(
+            RumkitError,
+            match="not a valid random choice rule: 1 negative entries, 1 menus with sum != 1",
+        ):
+            recover_distribution(m, RandomChoiceRule(u, values))
 
     def test_sampled_data_within_tolerance(self):
         u = Universe.of_size(3)

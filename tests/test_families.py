@@ -20,6 +20,8 @@ from rumkit import (
     NotCarumError,
     Preference,
     PreferenceDistribution,
+    RandomChoiceRule,
+    RumkitError,
     Universe,
     carum_recover,
     check_single_crossing,
@@ -317,6 +319,45 @@ class TestCarumRecover:
         )
         with pytest.raises(NotCarumError):
             carum_recover(rcr_from_distribution(nu))
+
+    def test_walked_square_that_misses_the_data_rejected(self):
+        # below the full menu q has at most one positive entry per menu, so
+        # the walk gives abc, but the Latin square on abc does not hold bac
+        u = Universe.of_size(3)
+        m = Model.of(u, [preference_from_labels(u, r) for r in ("abc", "bac")])
+        nu = PreferenceDistribution(m, {p: "1/2" for p in m.preferences})
+        with pytest.raises(
+            NotCarumError, match="walked Latin square does not reproduce the data exactly"
+        ):
+            carum_recover(rcr_from_distribution(nu))
+
+    # conftest.random_rule(random.Random(1), Universe.of_size(4)) on its 7,118th
+    # draw: each menu's probabilities for its members in index order
+    DYING_PATH = {
+        "abcd": "0 5/9 2/9 2/9",
+        "abc": "0 1 0", "abd": "6/11 4/11 1/11", "acd": "1 0 0", "bcd": "4/9 1/9 4/9",
+        "ab": "1/4 3/4", "ac": "2/3 1/3", "ad": "5/8 3/8",
+        "bc": "0 1", "bd": "0 1", "cd": "1 0",
+        "a": "1", "b": "1", "c": "1", "d": "1",
+    }
+
+    def test_positive_path_that_dies_rejected(self):
+        u = Universe.of_size(4)
+        values = {
+            pair(u, x, menu): v
+            for menu, row in self.DYING_PATH.items()
+            for x, v in zip(menu, row.split())
+        }
+        with pytest.raises(NotCarumError, match=r"positive path dies at menu \{d\}"):
+            carum_recover(RandomChoiceRule(u, values))
+
+    def test_invalid_rule_refused(self):
+        u = Universe.of_size(2)
+        values = {pair(u, "a", "ab"): "1", pair(u, "b", "ab"): "1",
+                  pair(u, "a", "a"): "1", pair(u, "b", "b"): "1"}
+        with pytest.raises(RumkitError, match="not a valid random choice rule") as info:
+            carum_recover(RandomChoiceRule(u, values))
+        assert not isinstance(info.value, NotCarumError)
 
 
 class TestFixtures:

@@ -156,6 +156,24 @@ class TestSpanningTree:
         assert not check.ok
         assert any("cycle" in v for v in check.violations)
 
+    def test_parent_link_on_the_root_detected(self):
+        d = build_diagram(Universe.of_size(3))
+        parent = dict(directed_spanning_tree(d).parent)
+        parent[0] = parent[0b001]
+        check = verify_spanning_tree(SpanningTree(parent), d)
+        assert not check.ok
+        assert "the root (empty set) must not have a parent link" in check.violations
+
+    def test_edge_id_off_the_diagram_detected(self):
+        d = build_diagram(Universe.of_size(3))
+        parent = dict(directed_spanning_tree(d).parent)
+        parent[0b011] = (parent[0b011][0], d.edge_count)
+        check = verify_spanning_tree(SpanningTree(parent), d)
+        assert not check.ok
+        assert check.violations == (
+            f"link into node 0x3 uses edge id {d.edge_count} off the diagram",
+        )
+
     def test_dangling_chain_detected(self):
         d = build_diagram(Universe.of_size(3))
         parent = dict(directed_spanning_tree(d).parent)

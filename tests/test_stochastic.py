@@ -454,6 +454,16 @@ class TestFlowConservation:
         assert not check
         assert bad_key[1] in check.bad_menus
 
+    def test_outflow_at_the_full_menu_reported(self):
+        # half the mass leaves X and flows on to {b}; the other half is missing
+        u = Universe.of_size(2)
+        values = {key(u, "a", "ab"): "1/2", key(u, "b", "ab"): "0",
+                  key(u, "a", "a"): "0", key(u, "b", "b"): "1/2"}
+        check = flow_conservation_check(MobiusInverse(u, values))
+        assert not check
+        assert check.bad_menus == (u.full_mask,)
+        assert check.total_at_full == Fraction(1, 2)
+
     def test_random_rational_distribution_n5(self, rng):
         u = Universe.of_size(5)
         m = random_model(rng, u, 6)
