@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial, lgamma, log
 
 from . import documents
-from .core import Model, Preference, Universe, preference_from_labels
+from .core import MENU_SEPARATOR, Model, Preference, Universe, preference_from_labels
 from .decompose import (
     RecoveryStatus,
     extend_edge_decomposable,
@@ -72,7 +72,7 @@ def _mass_payload(dist: PreferenceDistribution) -> dict:
 
 
 def _parse_order_labels(raw: str) -> list[str]:
-    labels = [part.strip() for part in raw.split(",")]
+    labels = [part.strip() for part in raw.split(MENU_SEPARATOR)]
     if any(not lab for lab in labels):
         raise DocumentError(f"--order {shown(raw)}: empty label")
     return labels

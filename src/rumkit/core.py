@@ -25,8 +25,10 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchError, shown
 
-# joins a ranking's labels in documents and CLI output, so no label holds it
+# join a ranking's labels, and a menu's labels, in documents and CLI output
+# (--order lists its labels with the menu separator), so no label holds either
 RANKING_SEPARATOR = ">"
+MENU_SEPARATOR = ","
 DEFAULT_LATTICE_CAP = 20
 DEFAULT_VECTOR_CAP = 12
 CAP_ENV_VAR = "RUMKIT_MAX_N"
@@ -79,10 +81,11 @@ class Universe:
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise LabelError(f"label {shown(lab)} is not a nonempty string")
-            if RANKING_SEPARATOR in lab:
-                raise LabelError(
-                    f"label {shown(lab)} contains the ranking separator {RANKING_SEPARATOR!r}"
-                )
+            for separator, role in ((RANKING_SEPARATOR, "ranking"), (MENU_SEPARATOR, "menu")):
+                if separator in lab:
+                    raise LabelError(
+                        f"label {shown(lab)} contains the {role} separator {separator!r}"
+                    )
             if lab in seen:
                 raise LabelError(f"duplicate label {shown(lab)}")
             seen.add(lab)
@@ -129,7 +132,7 @@ class Universe:
         return tuple(self.labels[i] for i in bits_of(mask))
 
     def describe_mask(self, mask: int) -> str:
-        return "{" + ",".join(self.labels_of(mask)) + "}"
+        return "{" + MENU_SEPARATOR.join(self.labels_of(mask)) + "}"
 
     def require_pair(
         self, key: object, error: type[RumkitError] = RumkitError

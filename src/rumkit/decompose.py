@@ -39,6 +39,45 @@ class DecompositionResult:
         return self.decomposable
 
 
+def _peel(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The greedy peel over rows of int keys, one row per preference.
+
+    Each row lists a member's contour pairs in upper-contour order, encoded
+    one-to-one as ints. The peel repeatedly takes the first row left, in the
+    given (model) order, that holds a key no other row left holds, and within
+    it the first such key. The scan order is fixed, so the removals and the
+    stuck set depend only on which rows share keys, not on the encoding:
+    packed keys and lattice coordinates give the same witness as a scan over
+    (x, A mask) tuples. Returns the (row position, key) removals in order,
+    and the positions of the rows left, ascending, when the peel gets stuck
+    (empty when every row was peeled).
+    """
+    cover: dict[int, int] = {}
+    for row in rows:
+        for key in row:
+            cover[key] = cover.get(key, 0) + 1
+    # rows left, last first: a hit is almost always among the first rows
+    # left, so it sits near the end of this list, where del moves little
+    left = list(range(len(rows) - 1, -1, -1))
+    order = []
+    while left:
+        for j in range(len(left) - 1, -1, -1):
+            row = rows[left[j]]
+            for key in row:
+                if cover[key] == 1:
+                    break
+            else:
+                continue
+            break
+        else:
+            return order, left[::-1]
+        order.append((left[j], key))
+        del left[j]
+        for key in row:
+            cover[key] -= 1
+    return order, []
+
+
 def is_edge_decomposable(model: Model) -> DecompositionResult:
     """Greedy peel: repeatedly remove a preference with a suffix-unique pair.
 
@@ -47,29 +86,21 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
     order as the witness, a tuple of (preference, (x, A mask)) entries, each
     key a contour pair unique to its preference among those not yet removed.
     Failure returns the stuck submodel in which no member has a pair unique
-    to it.
+    to it. The peel runs on each pair packed into one int, A mask << s | x
+    with s = n.bit_length(), so it builds no lattice and no cap applies.
     """
-    remaining = list(model.preferences)
-    cover = Counter(key for pref in remaining for key in pref.contour_keys())
-    witness: list[tuple[Preference, tuple[int, int]]] = []
-    universe = model.universe
-    while remaining:
-        hit = next(
-            (
-                (pref, key)
-                for pref in remaining
-                for key in pref.contour_keys()
-                if cover[key] == 1
-            ),
-            None,
+    prefs = model.preferences
+    shift = model.universe.n.bit_length()
+    low = (1 << shift) - 1
+    order, stuck = _peel(
+        [[mask << shift | x for x, mask in pref.contour_keys()] for pref in prefs]
+    )
+    if stuck:
+        return DecompositionResult(
+            False, None, Model.of(model.universe, [prefs[i] for i in stuck])
         )
-        if hit is None:
-            return DecompositionResult(False, None, Model.of(universe, remaining))
-        pref, _ = hit
-        witness.append(hit)
-        remaining.remove(pref)
-        cover.subtract(pref.contour_keys())
-    return DecompositionResult(True, tuple(witness), None)
+    witness = tuple((prefs[i], (key & low, key >> shift)) for i, key in order)
+    return DecompositionResult(True, witness, None)
 
 
 def validate_witness(
@@ -136,7 +167,10 @@ def recover_distribution(
 ) -> RecoveryReport:
     """Peel masses off the Mobius inverse along a decomposition witness.
 
-    At each witness position the recovered mass is the witnessed pair's
+    One peel does both jobs: each member's circuit becomes a row of lattice
+    coordinates, _peel finds the witness on those rows (the one
+    is_edge_decomposable returns), and the masses are peeled off the same
+    rows. At each witness position the recovered mass is the witnessed pair's
     Mobius value minus the mass already assigned to that pair by earlier
     preferences in its contour class. The assigned masses are the
     reconstructed Mobius inverse; for rule input the forward transform
@@ -164,26 +198,29 @@ def recover_distribution(
             )
         q = mobius_inverse(data)
 
-    dec = is_edge_decomposable(model)
-    if not dec:
+    # each member's circuit as lattice coordinates: the int objects the
+    # index already holds, shared by the peel and the mass peel
+    coords = lattice(model.universe.n)
+    index = coords.index
+    prefs = model.preferences
+    rows = [[index[key] for key in pref.contour_keys()] for pref in prefs]
+    order, stuck = _peel(rows)
+    if stuck:
         raise NotEdgeDecomposableError(
-            f"model is not edge decomposable; stuck on {len(dec.stuck)} preferences"
+            f"model is not edge decomposable; stuck on {len(stuck)} preferences"
         )
 
     # assigned[i]: numerator, over q's denominator, of the mass peeled so far
     # onto pair i; once the peel is done it is the Mobius inverse the
-    # recovered masses reconstruct
-    coords = lattice(model.universe.n)
-    index = coords.index
+    # recovered masses reconstruct. peeled[r] is the mass of prefs[r].
     given = q.numerators
     assigned = [0] * len(given)
-    peeled: dict[Preference, int] = {}
-    for pref, key in dec.witness:
-        i = index[key]
+    peeled = [0] * len(prefs)
+    for r, i in order:
         value = given[i] - assigned[i]
-        peeled[pref] = value
-        for key in pref.contour_keys():
-            assigned[index[key]] += value
+        peeled[r] = value
+        for j in rows[r]:
+            assigned[j] += value
 
     # compare in the input's own representation; mobius_inverse keeps the
     # rule's denominator, so data and q share one
@@ -198,10 +235,10 @@ def recover_distribution(
             residual.append((key, Fraction(diff, denominator)))
             worst = max(worst, abs(diff))
 
-    ordered = tuple((p, Fraction(peeled[p], denominator)) for p in model.preferences)
-    valid_range = all(0 <= value <= denominator for value in peeled.values())
-    if not residual and valid_range and sum(peeled.values()) == denominator:
-        dist = _from_shares(model, peeled)
+    ordered = tuple((p, Fraction(value, denominator)) for p, value in zip(prefs, peeled))
+    valid_range = all(0 <= value <= denominator for value in peeled)
+    if not residual and valid_range and sum(peeled) == denominator:
+        dist = _from_shares(model, dict(zip(prefs, peeled)))
         return RecoveryReport(RecoveryStatus.EXACT, ordered, (), dist, tol)
     if valid_range and Fraction(worst, denominator) <= tol and tol > 0:
         return RecoveryReport(

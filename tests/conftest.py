@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -11,6 +12,7 @@ import pytest
 
 from rumkit import (
     ChoiceData,
+    DecompositionResult,
     MobiusInverse,
     Model,
     OrderSearchResult,
@@ -260,6 +262,32 @@ def search_basis(
             cur ^= 1 << y
         basis.append((Preference(universe, tuple(ranking)), (x, mask)))
     return basis
+
+
+def greedy_peel_by_counter(model: Model) -> DecompositionResult:
+    """Oracle for is_edge_decomposable: the greedy peel on tuple keys counted
+    in a Counter, rescanning the members left in canonical order and each
+    member's pairs in upper-contour order for the first pair covered once."""
+    remaining = list(model.preferences)
+    cover = Counter(key for pref in remaining for key in pref.contour_keys())
+    witness = []
+    while remaining:
+        hit = next(
+            (
+                (pref, key)
+                for pref in remaining
+                for key in pref.contour_keys()
+                if cover[key] == 1
+            ),
+            None,
+        )
+        if hit is None:
+            return DecompositionResult(False, None, Model.of(model.universe, remaining))
+        pref, _ = hit
+        witness.append(hit)
+        remaining.remove(pref)
+        cover.subtract(pref.contour_keys())
+    return DecompositionResult(True, tuple(witness), None)
 
 
 def validate_witness_by_suffix(

@@ -109,6 +109,28 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"error: {refusal}\n")
         assert not out_file.exists()
 
+    def test_label_with_the_menu_separator_is_input_error(self, capsys, tmp_path):
+        # joined by ",", {a,b,c} would name the full menu of a model on a,b
+        # and c and of a model on a and b,c
+        refusal = "label 'a,b' contains the menu separator ','"
+        for alternatives in (["a,b", "c"], ["c", "a,b"]):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({
+                "kind": "model", "version": 1, "alternatives": alternatives,
+                "preferences": [alternatives],
+            }), encoding="utf-8")
+            code, out, err = run(
+                capsys, "check-edge-decomposable", "--model", str(path), "--witness"
+            )
+            assert (code, out, err) == (2, "", f"error: alternatives: {refusal}\n")
+        # in --order the separator splits labels, so no label there holds it
+        out_file = tmp_path / "ls.json"
+        code, out, err = run(capsys, "latin-square", "--order", "a,b,c", "--out", str(out_file))
+        assert code == 0 and err == ""
+        assert load_model(out_file).universe.labels == ("a", "b", "c")
+        code, out, err = run(capsys, "latin-square", "--order", "a,,b", "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: --order 'a,,b': empty label\n")
+
     def test_bound_capped_at_the_digit_limit(self, capsys):
         assert run(capsys, "bound", "-n", "1558")[0] == 0
         for n in ("1559", "1000000000"):
@@ -213,6 +235,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: n=21 exceeds the lattice cap of 20; set RUMKIT_MAX_N to override\n"
         assert not Path(out_path).exists()
+
+    def test_edge_decomposability_answered_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        # the peel packs each pair into one int and builds no lattice
+        model_file = tmp_path / "ls.json"
+        run(capsys, "latin-square", "--order", "a,b,c,d", "--out", str(model_file))
+        argv = ["check-edge-decomposable", "--model", str(model_file), "--witness"]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and "peeling order" in expected[1]
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert run(capsys, *argv) == expected
 
     def test_not_identified_is_exit_one(self, capsys, tmp_path):
         fixture = tmp_path / "fishburn.json"

@@ -349,6 +349,11 @@ class TestUniverse:
         with pytest.raises(LabelError, match="contains the ranking separator '>'"):
             Universe(("a", label))
 
+    @pytest.mark.parametrize("label", ["a,b", ",", "c,"])
+    def test_label_with_the_menu_separator_refused(self, label):
+        with pytest.raises(LabelError, match="contains the menu separator ','"):
+            Universe(("a", label))
+
     def test_default_labels(self):
         assert Universe.of_size(3).labels == ("a", "b", "c")
         assert Universe.of_size(27).labels[26] == "x27"

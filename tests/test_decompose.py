@@ -7,7 +7,12 @@ from math import factorial
 
 import pytest
 
-from conftest import random_distribution, random_model, validate_witness_by_suffix
+from conftest import (
+    greedy_peel_by_counter,
+    random_distribution,
+    random_model,
+    validate_witness_by_suffix,
+)
 from rumkit import (
     Model,
     NotEdgeDecomposableError,
@@ -117,6 +122,51 @@ class TestIsEdgeDecomposable:
         for _ in range(25):
             m = random_model(rng, u, rng.randrange(1, 8))
             assert bool(is_edge_decomposable(m)) == peel_reversed(m)
+
+    def test_matches_the_counter_peel_on_random_models(self, rng):
+        answers = []
+        for _ in range(1200):
+            n = rng.randrange(1, 8)
+            size = rng.randrange(1, min(factorial(n), 40) + 1)
+            m = random_model(rng, Universe.of_size(n), size)
+            res = is_edge_decomposable(m)
+            assert res == greedy_peel_by_counter(m)
+            answers.append(bool(res))
+        assert answers.count(True) > 100 and answers.count(False) > 100
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_the_counter_peel_on_relabelled_max_basis(self, rng, n):
+        d = build_diagram(Universe.of_size(n))
+        base = [p.ranking for p, _ in preference_basis(directed_spanning_tree(d), d)]
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = Model.of(
+                d.universe, [Preference(d.universe, tuple(perm[x] for x in r)) for r in base]
+            )
+            res = is_edge_decomposable(m)
+            assert res and res == greedy_peel_by_counter(m)
+
+    def test_matches_the_counter_peel_on_double_cover(self):
+        m = double_cover_model()
+        assert is_edge_decomposable(m) == greedy_peel_by_counter(m)
+
+    def test_answers_past_the_lattice_cap(self, monkeypatch):
+        from rumkit.core import CAP_ENV_VAR
+
+        m = latin_square(Preference(Universe.of_size(4), (0, 1, 2, 3)))
+        expected = is_edge_decomposable(m)
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert is_edge_decomposable(m) == expected
+
+    def test_answers_past_the_default_lattice_cap(self):
+        u = Universe.of_size(25)
+        m = Model.of(u, [Preference(u, r) for r in (
+            tuple(range(25)), tuple(range(24, -1, -1)), (1, 0, *range(2, 25)),
+        )])
+        res = is_edge_decomposable(m)
+        assert res == greedy_peel_by_counter(m)
+        assert validate_witness(m, res.witness)
 
 
 class TestValidateWitness:
@@ -270,7 +320,8 @@ class TestRecoverDistribution:
     def test_not_decomposable_raises(self):
         m = fishburn_model()
         data = rcr_from_distribution(point_mass(m, m.preferences[0]))
-        with pytest.raises(NotEdgeDecomposableError):
+        message = "^model is not edge decomposable; stuck on 4 preferences$"
+        with pytest.raises(NotEdgeDecomposableError, match=message):
             recover_distribution(m, data)
 
     def test_invalid_rule_refused(self):
