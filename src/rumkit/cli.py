@@ -463,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", default=None, help="comma-separated labels, best first")
     group.add_argument("--search-order", action="store_true",
-                       help="search all n! orders exhaustively")
+                       help="find the first order, lexicographically, that "
+                       "admits a single-crossing enumeration")
 
     p = add("latin-square", _cmd_latin_square, "the n cyclic rotations of an order")
     p.add_argument("--order", required=True, help="comma-separated labels, best first")

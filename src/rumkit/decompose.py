@@ -9,6 +9,7 @@ order is a sequential witness.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections import Counter
 from dataclasses import dataclass
@@ -137,11 +138,12 @@ class RecoveryStatus(str, enum.Enum):
 class RecoveryReport:
     """Outcome of peeling a distribution out of choice data.
 
-    masses holds the raw recovered values; distribution is set only when they
-    form an exact probability distribution. residual maps each pair where the
-    data and the reconstruction disagree to (input - reconstructed), in the
-    representation the data came in (rule values, or Mobius values when a
-    Mobius inverse was supplied).
+    masses holds the raw recovered value of every member, in model order;
+    distribution is set only when they form an exact probability
+    distribution. residual maps each pair where the data and the
+    reconstruction disagree to (input - reconstructed), in the representation
+    the data came in (rule values, or Mobius values when a Mobius inverse was
+    supplied).
     """
 
     status: RecoveryStatus
@@ -154,7 +156,13 @@ class RecoveryReport:
         return self.status is not RecoveryStatus.FAILED
 
     def mass_of(self, pref: Preference) -> Fraction:
-        return dict(self.masses).get(pref, Fraction(0))
+        """pref's mass, found by bisecting masses (in model order); 0 for a
+        non-member."""
+        masses = self.masses
+        i = bisect.bisect_left(masses, pref.ranking, key=lambda e: e[0].ranking)
+        if i < len(masses) and masses[i][0] == pref:
+            return masses[i][1]
+        return Fraction(0)
 
 
 RuleOrInverse = Union[RandomChoiceRule, MobiusInverse]
@@ -238,7 +246,7 @@ def recover_distribution(
     ordered = tuple((p, Fraction(value, denominator)) for p, value in zip(prefs, peeled))
     valid_range = all(0 <= value <= denominator for value in peeled)
     if not residual and valid_range and sum(peeled) == denominator:
-        dist = _from_shares(model, dict(zip(prefs, peeled)))
+        dist = _from_shares(model, peeled)
         return RecoveryReport(RecoveryStatus.EXACT, ordered, (), dist, tol)
     if valid_range and Fraction(worst, denominator) <= tol and tol > 0:
         return RecoveryReport(

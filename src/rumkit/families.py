@@ -8,7 +8,7 @@ Preference whose ranking lists the order best first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from math import factorial
 
 from .core import (
     Model,
@@ -145,6 +145,10 @@ def check_single_crossing(
 
 @dataclass(frozen=True)
 class OrderSearchResult:
+    """Outcome of the order search. orders_checked counts the orders decided
+    up to the answer, in the order of permutations(range(n)): through the first
+    passing order for a yes, all n! for a no."""
+
     exists: bool
     order: Preference | None
     enumeration: tuple[Preference, ...] | None
@@ -154,28 +158,79 @@ class OrderSearchResult:
         return self.exists
 
 
-def scrum_order_exists(model: Model) -> OrderSearchResult:
-    """Exhaustively search all n! exogenous orders for a single-crossing one.
+def _chain(sets: list[int]) -> list[int] | None:
+    """The member bitmasks sorted by size when each is a subset of the next,
+    else None."""
+    sets = sorted(sets, key=int.bit_count)
+    if all(a & ~b == 0 for a, b in zip(sets, sets[1:])):
+        return sets
+    return None
 
-    The agreement sets are member bitmasks, built once per model; an order
-    passes when its sets, sorted by size, are each a subset of the next."""
+
+def _some_order_passes(agree: list[list[int]], size: int) -> bool:
+    """Does some exogenous order make the model single crossing?
+
+    Yes exactly when some member e leaves the pairs' agreement sets nested,
+    each taken on the side of its pair that does not hold e. If an order
+    passes, e is the first member of its enumeration: each side without e is
+    a suffix of it, or empty. Conversely, sorting the members by how many of
+    those sets hold them makes every agreement set a suffix or a prefix, and
+    the last member's ranking is a passing order.
+    """
+    n = len(agree)
+    everyone = (1 << size) - 1
+    sets = [agree[x][y] for x in range(n) for y in range(x + 1, n)]
+    return any(
+        _chain([s ^ everyone if s >> e & 1 else s for s in sets]) is not None
+        for e in range(size)
+    )
+
+
+def scrum_order_exists(model: Model) -> OrderSearchResult:
+    """The first exogenous order, in the order of permutations(range(n)),
+    that makes the model single crossing.
+
+    Existence is decided first, in polynomial time, so a no answer enumerates
+    no order. Otherwise prefixes are walked depth first, alternatives
+    ascending: placing x fixes the agreement sets of x over every alternative
+    not yet placed, and a prefix whose fixed sets are not nested is skipped
+    with all its completions, since no superfamily of a crossing pair is a
+    chain. The agreement sets are member bitmasks, built once per model. The
+    walk is not proven polynomial, so the search stays capped.
+    """
     universe = model.universe
-    if universe.n > SCRUM_SEARCH_CAP:
+    n = universe.n
+    if n > SCRUM_SEARCH_CAP:
         raise CapExceededError(
-            f"order search is exhaustive over n! orders and capped at "
-            f"n={SCRUM_SEARCH_CAP}, got n={universe.n}"
+            f"order search may walk many of the n! orders and is capped at "
+            f"n={SCRUM_SEARCH_CAP}, got n={n}"
         )
-    agree = _agreement(model)
+    # along an enumeration each pair switches at most once, so a
+    # single-crossing model has at most C(n, 2) + 1 members
+    agree = _agreement(model) if len(model) <= n * (n - 1) // 2 + 1 else None
+    if agree is None or not _some_order_passes(agree, len(model)):
+        return OrderSearchResult(False, None, None, factorial(n))
     checked = 0
-    for perm in permutations(range(universe.n)):
-        checked += 1
-        sets = [agree[x][y] for i, x in enumerate(perm) for y in perm[i + 1 :]]
-        sets.sort(key=int.bit_count)
-        if all(a & ~b == 0 for a, b in zip(sets, sets[1:])):
-            order = Preference(universe, perm)
-            result = check_single_crossing(model, order)
-            return OrderSearchResult(True, order, result.enumeration, checked)
-    return OrderSearchResult(False, None, None, checked)
+
+    def first(prefix: list[int], chain: list[int]) -> tuple[int, ...] | None:
+        nonlocal checked
+        rest = [y for y in range(n) if y not in prefix]
+        if not rest:
+            checked += 1
+            return tuple(prefix)
+        for x in rest:
+            fixed = _chain(chain + [agree[x][y] for y in rest if y != x])
+            if fixed is None:
+                checked += factorial(len(rest) - 1)
+                continue
+            found = first(prefix + [x], fixed)
+            if found is not None:
+                return found
+        return None
+
+    order = Preference(universe, first([], []))
+    result = check_single_crossing(model, order)
+    return OrderSearchResult(True, order, result.enumeration, checked)
 
 
 def max_scrum_model(order: Preference) -> tuple[Model, tuple[Preference, ...]]:

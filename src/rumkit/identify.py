@@ -177,9 +177,10 @@ def _certificate(model: Model, combo: dict[int, int]) -> NullspaceCertificate:
     nu_prime normalize the parts with that entry's sign and the other sign."""
     lead = combo[max(combo)]
     terms = [(model.preferences[j], combo[j]) for j in sorted(combo)]
-    pos = {p: abs(v) for p, v in terms if (v > 0) == (lead > 0)}
-    neg = {p: abs(v) for p, v in terms if (v > 0) != (lead > 0)}
-    if not neg:
+    pos, neg = [0] * len(model), [0] * len(model)
+    for j, v in combo.items():
+        (pos if (v > 0) == (lead > 0) else neg)[j] = abs(v)
+    if not any(neg):
         raise RumkitError("degenerate nullspace vector: one-signed coefficients")
     nu, nu_prime = _from_shares(model, pos), _from_shares(model, neg)
     if rcr_from_distribution(nu) != rcr_from_distribution(nu_prime):

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import Lattice, Model, Preference, Universe, lattice
 from .errors import RumkitError, shown
@@ -190,16 +190,18 @@ class PreferenceDistribution:
         total = sum(numerators)
         if total != denominator:
             raise RumkitError(f"masses sum to {Fraction(total, denominator)}, not 1")
-        self._set(model, dict(zip(masses, numerators)))
+        self._set(model, sorted(zip(masses, numerators), key=lambda e: e[0].ranking))
 
-    def _set(self, model: Model, shares: Mapping[Preference, int]) -> None:
-        """Each nonzero share over the sum of the shares, in reduced form."""
-        support = sorted((p for p, v in shares.items() if v), key=lambda p: p.ranking)
-        total = sum(shares.values())
-        common = math.gcd(total, *shares.values())
+    def _set(self, model: Model, shares: Iterable[tuple[Preference, int]]) -> None:
+        """Each nonzero share over the sum of the shares, in reduced form; the
+        (member, share) pairs come in ranking order."""
+        kept = [(p, v) for p, v in shares if v]
+        values = [v for _, v in kept]
+        total = sum(values)
+        common = math.gcd(total, *values)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "support", tuple(support))
-        object.__setattr__(self, "numerators", tuple(shares[p] // common for p in support))
+        object.__setattr__(self, "support", tuple(p for p, _ in kept))
+        object.__setattr__(self, "numerators", tuple(v // common for v in values))
         object.__setattr__(self, "denominator", total // common)
 
     @property
@@ -213,25 +215,30 @@ class PreferenceDistribution:
         return tuple((p, Fraction(v, d)) for p, v in zip(self.support, self.numerators))
 
     def mass_of(self, pref: Preference) -> Fraction:
-        return dict(self.entries).get(pref, Fraction(0))
+        """pref's mass, found by bisecting the support; 0 off the support."""
+        support = self.support
+        i = bisect.bisect_left(support, pref.ranking, key=lambda p: p.ranking)
+        if i < len(support) and support[i] == pref:
+            return Fraction(self.numerators[i], self.denominator)
+        return Fraction(0)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{pref}: {m}" for pref, m in self.entries)
         return f"PreferenceDistribution({body})"
 
 
-def _from_shares(model: Model, shares: dict[Preference, int]) -> PreferenceDistribution:
-    """Each share over the sum of the shares, unchecked: the caller passes
-    members of model and nonnegative integers with a positive sum."""
+def _from_shares(model: Model, shares: Sequence[int]) -> PreferenceDistribution:
+    """Each share over the sum of the shares, unchecked: the caller passes one
+    nonnegative integer per member, in model order, with a positive sum."""
     dist = object.__new__(PreferenceDistribution)
-    dist._set(model, shares)
+    dist._set(model, zip(model.preferences, shares))
     return dist
 
 
 def point_mass(model: Model, pref: Preference) -> PreferenceDistribution:
     if pref not in model:
         raise RumkitError(f"support preference {pref} is not in the model")
-    return _from_shares(model, {pref: 1})
+    return _from_shares(model, [int(p.ranking == pref.ranking) for p in model])
 
 
 def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:

@@ -287,6 +287,29 @@ class TestRecoverDistribution:
                     assert report.distribution == built == dist
                     assert hash(report.distribution) == hash(built)
 
+    def test_mass_of_matches_the_dict_lookup(self, rng):
+        # exact, approximate and failed reports, members and non-members
+        statuses = set()
+        for n in range(2, 6):
+            u = Universe.of_size(n)
+            everyone = list(all_preferences(u))
+            for _ in range(10):
+                m = random_model(rng, u, rng.randrange(1, min(len(everyone), 8) + 1))
+                if not is_edge_decomposable(m):
+                    continue
+                wider = random_model(rng, u, min(len(everyone), len(m) + 3))
+                for data in (
+                    rcr_from_distribution(random_distribution(rng, m)),
+                    rcr_from_distribution(random_distribution(rng, wider)),
+                ):
+                    for tolerance in (0, "1/2"):
+                        report = recover_distribution(m, data, tolerance)
+                        statuses.add(report.status)
+                        table = dict(report.masses)
+                        for pref in everyone:
+                            assert report.mass_of(pref) == table.get(pref, Fraction(0))
+        assert statuses == set(RecoveryStatus)
+
     def test_accepts_mobius_input(self):
         m = shadowed_triple_model()
         pref = m.preferences[1]

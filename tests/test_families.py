@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -18,11 +18,13 @@ from rumkit import (
     CapExceededError,
     Model,
     NotCarumError,
+    OrderSearchResult,
     Preference,
     PreferenceDistribution,
     RandomChoiceRule,
     RumkitError,
     Universe,
+    all_preferences,
     carum_recover,
     check_single_crossing,
     contour_class,
@@ -41,6 +43,7 @@ from rumkit import (
     respects,
     scrum_order_exists,
 )
+from rumkit import families
 
 
 def brute_single_crossing(model: Model, order: Preference) -> bool:
@@ -154,6 +157,19 @@ def random_scrum_case(rng, n: int) -> Model:
     return random_model(rng, u, min(rng.randrange(1, 7), factorial(n)))
 
 
+def three_swaps(rng, n: int) -> Model:
+    """The benchmark's no-order shape: adjacent swaps at positions 0-2 of one
+    random ranking."""
+    u = Universe.of_size(n)
+    base = rng.sample(range(n), n)
+    rankings = []
+    for pos in range(3):
+        r = base[:]
+        r[pos], r[pos + 1] = r[pos + 1], r[pos]
+        rankings.append(tuple(r))
+    return Model.of(u, [Preference(u, r) for r in rankings])
+
+
 class TestBitmaskAgainstOracles:
     def test_search_matches_per_order_check(self, rng):
         results = []
@@ -165,18 +181,75 @@ class TestBitmaskAgainstOracles:
         assert 100 < sum(results) < len(results)
 
     def test_three_swaps_at_seven_search_every_order(self, rng):
-        # the benchmark's no-order shape: adjacent swaps at positions 0-2
-        u = Universe.of_size(7)
-        base = rng.sample(range(7), 7)
-        rankings = []
-        for pos in range(3):
-            r = base[:]
-            r[pos], r[pos + 1] = r[pos + 1], r[pos]
-            rankings.append(tuple(r))
-        m = Model.of(u, [Preference(u, r) for r in rankings])
+        m = three_swaps(rng, 7)
         res = scrum_order_exists(m)
         assert res == scrum_order_exists_by_check(m)
         assert not res.exists and res.orders_checked == 5040
+
+    def test_search_matches_per_order_check_up_to_seven(self, rng):
+        # both answers at every n, and yes answers found only after skipped
+        # prefixes, whose completions the count must still include
+        answers = {n: set() for n in range(1, 8)}
+        late = 0
+        for n in range(1, 8):
+            for _ in range(60 if n < 7 else 8):
+                m = random_scrum_case(rng, n)
+                res = scrum_order_exists(m)
+                assert res == scrum_order_exists_by_check(m)
+                answers[n].add(res.exists)
+                late += res.exists and res.orders_checked > 1
+        assert answers[1] == {True}
+        assert all(answers[n] == {True, False} for n in range(3, 8))
+        assert late > 20
+
+    def test_existence_on_every_model_at_three(self):
+        prefs = tuple(all_preferences(Universe.of_size(3)))
+        for size in range(1, len(prefs) + 1):
+            for chosen in combinations(prefs, size):
+                m = Model.of(prefs[0].universe, chosen)
+                assert scrum_order_exists(m) == scrum_order_exists_by_check(m)
+
+    def test_existence_on_every_small_model_at_four(self):
+        prefs = tuple(all_preferences(Universe.of_size(4)))
+        answers = set()
+        for size in (1, 2, 3):
+            for chosen in combinations(prefs, size):
+                m = Model.of(prefs[0].universe, chosen)
+                res = scrum_order_exists(m)
+                assert res.exists == scrum_order_exists_by_check(m).exists
+                answers.add(res.exists)
+        assert answers == {True, False}
+
+    def test_three_swaps_at_eight_decide_every_order(self, rng):
+        m = three_swaps(rng, 8)
+        res = scrum_order_exists(m)
+        assert res == OrderSearchResult(False, None, None, 40320)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_no_answer_enumerates_no_order(self, monkeypatch, rng, n):
+        # a no answer is decided by the existence test alone: one nestedness
+        # check per member, and no order is ever built
+        calls = []
+
+        def counting_chain(sets):
+            calls.append(len(sets))
+            return chain(sets)
+
+        def no_preference(*args):
+            raise AssertionError("a no answer built an order")
+
+        chain = families._chain
+        monkeypatch.setattr(families, "_chain", counting_chain)
+        monkeypatch.setattr(families, "Preference", no_preference)
+        m = three_swaps(rng, n)
+        res = scrum_order_exists(m)
+        assert not res.exists and res.orders_checked == factorial(n)
+        assert len(calls) <= len(m)
+        # past C(n, 2) + 1 members no enumeration can switch each pair once
+        calls.clear()
+        crowded = random_model(rng, m.universe, n * (n - 1) // 2 + 2)
+        assert scrum_order_exists(crowded).orders_checked == factorial(n)
+        assert calls == []
 
     def test_check_matches_frozen_sets(self, rng):
         holds = []

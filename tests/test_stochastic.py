@@ -158,9 +158,23 @@ class TestPreferenceDistribution:
 
     def test_shares_are_reduced(self):
         a, b, c = self.MODEL.preferences[:3]
-        dist = _from_shares(self.MODEL, {c: 4, a: 2, b: 0})
+        dist = _from_shares(self.MODEL, [2, 0, 4] + [0] * (len(self.MODEL) - 3))
         assert (dist.support, dist.numerators, dist.denominator) == ((a, c), (1, 2), 3)
         assert dist == PreferenceDistribution(self.MODEL, {a: "1/3", c: "2/3"})
+
+    def test_mass_of_matches_the_dict_lookup(self, rng):
+        # members on and off the support, non-members, and a preference on
+        # another universe with the same ranking
+        for n in range(1, 6):
+            u = Universe.of_size(n)
+            other = Universe(tuple(label.upper() for label in u.labels))
+            everyone = list(all_preferences(u))
+            for _ in range(12):
+                m = random_model(rng, u, rng.randrange(1, min(len(everyone), 9) + 1))
+                dist = random_distribution(rng, m, max_weight=3)
+                table = dict(dist.entries)
+                for pref in everyone + [Preference(other, everyone[-1].ranking)]:
+                    assert dist.mass_of(pref) == table.get(pref, Fraction(0))
 
     def test_point_mass_is_the_mapping_form(self):
         pref = self.MODEL.preferences[5]
