@@ -117,7 +117,16 @@ def check_single_crossing(
             raise RumkitError("enumeration does not list the model exactly once")
         return _verify_enumeration(tuple(enumeration), order)
 
-    agree = _agreement(model)
+    return _nested_enumeration(model, order, _agreement(model))
+
+
+def _nested_enumeration(
+    model: Model, order: Preference, agree: list[list[int]]
+) -> SingleCrossingResult:
+    """Decide existence of an enumeration for the order on the model's
+    agreement table: the sets S(x, y), for x above y in the order, must be
+    pairwise nested; if they are, the members sorted by how many sets hold
+    them are re-verified as the enumeration."""
     pairs = _ordered_pairs(order)
     sets = [agree[x][y] for x, y in pairs]
     prefs = model.preferences
@@ -229,7 +238,7 @@ def scrum_order_exists(model: Model) -> OrderSearchResult:
         return None
 
     order = Preference(universe, first([], []))
-    result = check_single_crossing(model, order)
+    result = _nested_enumeration(model, order, agree)
     return OrderSearchResult(True, order, result.enumeration, checked)
 
 

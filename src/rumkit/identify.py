@@ -6,9 +6,12 @@ ones among n * 2^(n-1) coordinates. One sparse routine, structured Gaussian
 elimination (LaMacchia and Odlyzko, 1990), does every rank and nullspace
 computation exactly, fraction-free over the integers. A screen over GF(2),
 which reduces each circuit as an int with one bit per coordinate, may certify
-full rank but never a deficiency; a negative answer is always backed by an
-exact nullspace certificate carrying two distinct distributions that induce
-the same rule.
+full rank but never a deficiency. When it fails, the greedy peel of
+decompose strips the rows that hold a key no later row holds; every
+dependency is zero on those rows, so the exact rank and the nullspace
+certificate are computed on the stuck core alone. A negative answer is
+always backed by that certificate, carrying two distinct distributions that
+induce the same rule.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .core import Model, Preference, lattice, require_vector_cap
+from .decompose import _peel
 from .errors import RumkitError
 from .stochastic import (
     PreferenceDistribution,
@@ -194,21 +198,34 @@ def is_identified(model: Model) -> IdentificationResult:
 
     The preferences' circuits, in model order, are first screened over GF(2)
     as bit rows: independence mod 2 certifies independence over Q, but a
-    dependency mod 2 is never a certificate. When the screen fails, the exact
-    rank decides, and the integer elimination's first dependency, the unique
-    combination of the first preference whose vector depends on the ones
-    before it, gives the certificate; the elimination stops there.
+    dependency mod 2 is never a certificate. When the screen fails, the
+    greedy peel runs on packed keys, as in is_edge_decomposable. Each peeled
+    row holds a key that no later row and no stuck row holds, so every
+    dependency, over Q or GF(2), is zero on the peeled rows: the model is
+    identified exactly when its stuck core is, and the first row depending
+    on the rows before it is a stuck row with the same combination. The
+    exact rank is taken on the core's vectors over only the keys the core
+    touches; if it is deficient, the integer elimination of the core rows
+    stops at the first dependency, which, mapped back to model positions,
+    gives the certificate.
     """
     n = model.universe.n
     require_vector_cap(n)
     index = lattice(n).index
     if _screen(sum(1 << index[key] for key in pref.contour_keys()) for pref in model):
         return IdentificationResult(True, None)
-    if rank(mobius_vector(pref) for pref in model) == len(model):
+    shift = n.bit_length()
+    rows = [[mask << shift | x for x, mask in pref.contour_keys()] for pref in model]
+    _, stuck = _peel(rows)
+    # the core's rows over its own keys, numbered as first met
+    number: dict[int, int] = {}
+    core = [{number.setdefault(key, len(number)): 1 for key in rows[i]} for i in stuck]
+    if rank([int(c in row) for c in range(len(number))] for row in core) == len(core):
         return IdentificationResult(True, None)
-    rows = ({index[key]: 1 for key in pref.contour_keys()} for pref in model)
-    combo = next(combo for combo in _eliminate(rows) if combo is not None)
-    return IdentificationResult(False, _certificate(model, combo))
+    combo = next(combo for combo in _eliminate(core) if combo is not None)
+    return IdentificationResult(
+        False, _certificate(model, {stuck[i]: v for i, v in combo.items()})
+    )
 
 
 def max_identified_size(n: int) -> int:

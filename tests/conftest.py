@@ -13,6 +13,7 @@ import pytest
 from rumkit import (
     ChoiceData,
     DecompositionResult,
+    IdentificationResult,
     MobiusInverse,
     Model,
     OrderSearchResult,
@@ -28,11 +29,14 @@ from rumkit import (
     double_cover_model,
     lattice,
     mobius_inverse,
+    mobius_vector,
+    rank,
     rcr_from_distribution,
 )
 from rumkit.core import bits_of
 from rumkit.documents import dump_choice_data
 from rumkit.flowgraph import FlowDiagram
+from rumkit.identify import _certificate, _eliminate
 
 
 def random_preference(rng: random.Random, universe: Universe) -> Preference:
@@ -217,6 +221,19 @@ def nullspace_vector(vectors) -> list[Fraction]:
         pivot_rows.append((row, col))
         row += 1
     raise ValueError("no nullspace vector: the vectors are linearly independent")
+
+
+def identified_on_all_rows(model: Model) -> IdentificationResult:
+    """Oracle for is_identified: no screen and no peel. The exact rank of
+    every member's dense Mobius vector decides, and the certificate comes
+    from the integer elimination over every member's circuit, stopped at the
+    first dependency."""
+    if rank([mobius_vector(p) for p in model]) == len(model):
+        return IdentificationResult(True, None)
+    index = lattice(model.universe.n).index
+    rows = ({index[key]: 1 for key in p.contour_keys()} for p in model)
+    combo = next(combo for combo in _eliminate(rows) if combo is not None)
+    return IdentificationResult(False, _certificate(model, combo))
 
 
 def random_spanning_tree(rng: random.Random, diagram: FlowDiagram) -> SpanningTree:

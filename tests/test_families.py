@@ -251,6 +251,26 @@ class TestBitmaskAgainstOracles:
         assert scrum_order_exists(crowded).orders_checked == factorial(n)
         assert calls == []
 
+    def test_yes_answer_builds_one_agreement_table(self, monkeypatch, rng):
+        # the existence test, the walk and the enumeration share one table
+        calls = []
+
+        def counting_agreement(model):
+            calls.append(len(model))
+            return agreement(model)
+
+        agreement = families._agreement
+        monkeypatch.setattr(families, "_agreement", counting_agreement)
+        yes = 0
+        for _ in range(60):
+            m = random_scrum_case(rng, rng.randrange(1, 7))
+            calls.clear()
+            res = scrum_order_exists(m)
+            if res.exists:
+                yes += 1
+                assert calls == [len(m)]
+        assert yes > 10
+
     def test_check_matches_frozen_sets(self, rng):
         holds = []
         for _ in range(600):

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from conftest import best_element_rule, nullspace_vector, random_model
+from conftest import (
+    best_element_rule,
+    identified_on_all_rows,
+    nullspace_vector,
+    random_model,
+    random_preference,
+)
 from rumkit import (
     Model,
     Preference,
@@ -15,9 +22,11 @@ from rumkit import (
     build_diagram,
     directed_spanning_tree,
     double_cover_model,
+    extend_edge_decomposable,
     fishburn_distributions,
     fishburn_model,
     fixtures,
+    is_edge_decomposable,
     is_identified,
     lattice,
     max_identified_size,
@@ -419,6 +428,95 @@ class TestIsIdentified:
             assert rank([mobius_vector(p) for p in m]) == rank(
                 [rule_vector(p) for p in m]
             )
+
+
+def max_basis_plus_one(n: int) -> Model:
+    """The max-basis model plus the first preference outside it: one more
+    member than the bound allows, so never identified."""
+    u = Universe.of_size(n)
+    diagram = build_diagram(u, appended=True)
+    basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
+    inside = {p.ranking for p in basis}
+    extra = next(p for p in all_preferences(u) if p.ranking not in inside)
+    return Model.of(u, basis + [extra])
+
+
+class TestStuckCore:
+    """A failed screen is decided on the greedy peel's stuck core."""
+
+    @pytest.mark.parametrize("n, most", [(2, 2), (3, 6), (4, 24), (5, 60), (6, 100)])
+    def test_answers_and_certificates_match_the_full_row_oracle(self, rng, n, most):
+        u = Universe.of_size(n)
+        deficient = 0
+        for _ in range(40):
+            m = random_model(rng, u, rng.randrange(1, most + 1))
+            res = is_identified(m)
+            assert res == identified_on_all_rows(m)
+            deficient += not res
+        assert deficient >= 5 or n < 4
+
+    def test_identified_core_behind_a_failed_screen(self, rng):
+        # the double cover is GF(2)-dependent but identified; added members
+        # that peel off leave it as the core, so the model stays identified
+        cover = double_cover_model()
+        u = cover.universe
+        identified = 0
+        for _ in range(12):
+            chosen = {p.ranking: p for p in cover}
+            for _ in range(rng.randrange(1, 4)):
+                pref = random_preference(rng, u)
+                chosen.setdefault(pref.ranking, pref)
+            m = Model.of(u, chosen.values())
+            assert not _screen(bit_rows(m))
+            res = is_identified(m)
+            assert res == identified_on_all_rows(m)
+            identified += res.identified
+        assert identified >= 3
+
+    @pytest.mark.parametrize("n, most", [(4, 24), (5, 60), (6, 100)])
+    def test_a_failed_screen_leaves_a_dependent_core(self, rng, n, most):
+        u = Universe.of_size(n)
+        failed = 0
+        for _ in range(40):
+            m = random_model(rng, u, rng.randrange(1, most + 1))
+            if _screen(bit_rows(m)):
+                continue
+            failed += 1
+            stuck = is_edge_decomposable(m).stuck
+            assert stuck is not None and len(stuck) > 0
+            assert not _screen(bit_rows(stuck))
+        assert failed >= 5
+
+    def test_decomposable_models_pass_the_screen(self, rng):
+        seen = 0
+        for n in range(2, 7):
+            u = Universe.of_size(n)
+            for _ in range(20):
+                m = random_model(rng, u, rng.randrange(1, min(24, factorial(n)) + 1))
+                if not is_edge_decomposable(m):
+                    continue
+                seen += 1
+                assert _screen(bit_rows(m))
+                assert _screen(bit_rows(extend_edge_decomposable(m)))
+        assert seen >= 50
+
+    def test_a_failed_screen_reads_only_the_core(self, monkeypatch):
+        model = max_basis_plus_one(7)
+        stuck = is_edge_decomposable(model).stuck
+        touched = len({key for p in stuck for key in p.contour_keys()})
+        ranked, dense = [], []
+
+        def counted(vectors):
+            vectors = list(vectors)
+            ranked.append([len(v) for v in vectors])
+            return rank(vectors)
+
+        monkeypatch.setattr(identify, "rank", counted)
+        monkeypatch.setattr(identify, "mobius_vector", dense.append)
+        assert not is_identified(model)
+        assert len(ranked) == 1 and len(ranked[0]) == len(stuck)
+        assert max(ranked[0]) <= touched < len(lattice(7).keys)
+        assert dense == []
 
 
 class TestBound:
