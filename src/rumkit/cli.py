@@ -2,7 +2,10 @@
 
 Every subcommand returns its result as (exit code, payload, lines): the JSON
 payload and the human-readable text lines. main prints the payload with
---json and the lines otherwise, and nothing else prints a result. Exit codes:
+--json and the lines otherwise, and nothing else prints a result; a
+subcommand with a large table (mobius) builds only the form main prints and
+leaves the other empty. main parses with one parser, built when the module
+is imported and shared by every call in the process. Exit codes:
 0 for success or an affirmative determination, 1 for a negative determination
 (not identified, not decomposable, not a Latin square, recovery failed), 2 for
 input errors. All output is a deterministic function of the inputs.
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import factorial, lgamma, log
 
 from . import documents
@@ -142,8 +146,12 @@ def _cmd_check_edge_decomposable(args: argparse.Namespace) -> Result:
         f"(size {len(model)})"
     ]
     if result.decomposable and args.witness:
-        describe = model.universe.describe_pair
-        pairs = [(ranking_text(p), describe(*key)) for p, key in result.witness]
+        # describe_pair, with each menu's text rendered once
+        labels, menu = model.universe.labels, cache(model.universe.describe_mask)
+        pairs = [
+            (ranking_text(p), f"({labels[x]}, {menu(mask)})")
+            for p, (x, mask) in result.witness
+        ]
         payload["witness"] = [{"preference": p, "pair": pair} for p, pair in pairs]
         lines.append("peeling order (preference, witnessed pair):")
         lines += [f"  {p} via {pair}" for p, pair in pairs]
@@ -196,30 +204,30 @@ def _cmd_mobius(args: argparse.Namespace) -> Result:
     universe = data.rule.universe
     q = mobius_inverse(data.rule)
     nonneg = check_stochastic_rationality_necessary(q)
-    payload: dict = {
-        "entries": [
-            {
-                "menu": list(universe.labels_of(mask)),
-                "x": universe.labels[x],
-                "value": str(value),
-            }
-            for (x, mask), value in q.items()
-        ],
-        "nonnegative": nonneg.ok,
-    }
-    lines = [
-        f"q{universe.describe_pair(x, mask)} = {value}"
-        for (x, mask), value in q.items()
-    ]
+    flow = flow_conservation_check(q) if args.check_flow else None
+    labels = universe.labels
+    # each menu's text is rendered once: a menu holds up to n entries
+    if args.json:
+        menu = cache(universe.labels_of)
+        payload: dict = {
+            "entries": [
+                {"menu": menu(mask), "x": labels[x], "value": str(value)}
+                for (x, mask), value in q.items()
+            ],
+            "nonnegative": nonneg.ok,
+        }
+        if flow is not None:
+            payload["flow_conservation"] = flow.ok
+        return OK, payload, []
+    menu = cache(universe.describe_mask)
+    lines = [f"q({labels[x]}, {menu(mask)}) = {value}" for (x, mask), value in q.items()]
     lines.append(
         "necessary stochastic rationality (q >= 0): "
         + ("holds" if nonneg.ok else f"fails at {len(nonneg.negative)} pairs")
     )
-    if args.check_flow:
-        flow = flow_conservation_check(q)
-        payload["flow_conservation"] = flow.ok
+    if flow is not None:
         lines.append("flow conservation: " + ("holds" if flow.ok else "fails"))
-    return OK, payload, lines
+    return OK, {}, lines
 
 
 def _cmd_recover(args: argparse.Namespace) -> Result:
@@ -481,10 +489,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls, and
+# building the 13 subparsers costs more than a small command's own work
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else INPUT_ERROR

@@ -73,11 +73,12 @@ class Universe:
     """A finite set of alternatives, identified by index with display labels."""
 
     labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise LabelError("a universe needs at least one alternative")
-        seen = set()
+        seen: dict[str, int] = {}
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise LabelError(f"label {shown(lab)} is not a nonempty string")
@@ -88,7 +89,8 @@ class Universe:
                     )
             if lab in seen:
                 raise LabelError(f"duplicate label {shown(lab)}")
-            seen.add(lab)
+            seen[lab] = len(seen)
+        object.__setattr__(self, "_index", seen)
 
     @classmethod
     def of_size(cls, n: int) -> "Universe":
@@ -113,8 +115,8 @@ class Universe:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise LabelError(f"unknown label {shown(label)}") from None
 
     def menu_of_labels(self, labels: Iterable[str]) -> int:
@@ -223,6 +225,11 @@ def preference_from_labels(universe: Universe, labels: Iterable[str]) -> Prefere
         raise LabelError(
             f"ranking has {len(labels)} labels but the universe has {universe.n}"
         )
+    try:
+        return Preference(universe, tuple(map(universe._index.__getitem__, labels)))
+    except (KeyError, TypeError, RumkitError):
+        pass
+    # an unknown or repeated label: the first one in list order names the error
     seen = set()
     ranking = []
     for lab in labels:

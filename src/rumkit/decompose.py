@@ -263,7 +263,8 @@ def extend_edge_decomposable(seed: Model) -> Model:
     outside A above x in ascending index order, then x, then the rest of A in
     ascending index order. Each addition keeps the model edge decomposable
     (the new preference is removable first), so the result is a decomposable
-    superset of the seed, maximal under this construction.
+    superset of the seed, maximal under this construction; a seed that meets
+    every pair already is returned as it is.
     """
     universe = seed.universe
     keys = lattice(universe.n).keys
@@ -285,4 +286,6 @@ def extend_edge_decomposable(seed: Model) -> Model:
         pref = Preference(universe, ranking)
         prefs.append(pref)
         covered.update(pref.contour_keys())
+    if len(prefs) == len(seed):
+        return seed
     return Model.of(universe, prefs)

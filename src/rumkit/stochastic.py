@@ -58,12 +58,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # the canonical forms "3" and "3/4" in ASCII digits, short enough for
+        # int(), skip the regexes: anything else takes the checked path below
+        limit = sys.get_int_max_str_digits()
+        num, slash, den = value.partition("/")
+        if (
+            value.isascii()
+            and num.isdigit()
+            and (not slash or den.isdigit() and den.strip("0"))
+            and not 0 < limit < len(value)
+        ):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         if re.search(r"[eE][-+]?\d", value):
             raise RumkitError(
                 f"exponent notation {shown(value)} rejected: write the value as a "
                 "decimal or a ratio like '1/1000'"
             )
-        limit = sys.get_int_max_str_digits()
         if 0 < limit < len(value) and any(
             len(run) - run.count("_") > limit for run in re.findall(r"[\d_]+", value)
         ):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from rumkit import (
     preference_from_labels,
     rcr_from_distribution,
 )
+from rumkit import cli
 from rumkit.cli import main
 from rumkit.core import CAP_ENV_VAR
 from rumkit.documents import (
@@ -294,6 +296,47 @@ class TestExitCodes:
         code, _, err = run(capsys, "fixtures", "--name", "nope", "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "available" in err
+
+
+class TestSharedParser:
+    def test_calls_build_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert main(["bound", "-n", "4"]) == 0
+            assert main(["bound", "-n", "4", "--json"]) == 0
+            assert main(["bound"]) == 2
+            assert main(["frobnicate"]) == 2
+        assert built == []
+        # the count sees a build: the top-level parser and 13 subcommands
+        cli._build_parser()
+        assert len(built) == 14
+
+    def test_bad_argv_after_a_good_call_prints_usage_on_the_current_stderr(self, capsys):
+        assert run(capsys, "bound", "-n", "4")[0] == 0
+        code, out, err = run(capsys, "bound")
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: rumkit bound [-h] [--json] -n N\n"
+            "rumkit bound: error: the following arguments are required: -n\n"
+        )
+        stream = io.StringIO()
+        with redirect_stderr(stream):
+            code = main(
+                ["check-single-crossing", "--model", "m.json", "--order", "a,b", "--search-order"]
+            )
+        assert code == 2
+        assert stream.getvalue().startswith("usage: rumkit check-single-crossing")
+        assert stream.getvalue().endswith(
+            "error: argument --search-order: not allowed with argument --order\n"
+        )
+        assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("flag", [[], ["--json"]])

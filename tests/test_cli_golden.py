@@ -118,12 +118,17 @@ def run_battery() -> list[dict]:
 
 
 def test_cli_output_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+    # main shares one parser across calls, so a second pass in the same
+    # process must read nothing the first left behind in it (the
+    # --order/--search-order group, the --json default)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = run_battery()
-    assert [r["argv"] for r in actual] == [r["argv"] for r in expected]
-    for got, want in zip(actual, expected):
-        assert got == want, " ".join(want["argv"])
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        actual = run_battery()
+        assert [r["argv"] for r in actual] == [r["argv"] for r in expected]
+        for got, want in zip(actual, expected):
+            assert got == want, f"{run} pass: " + " ".join(want["argv"])
 
 
 if __name__ == "__main__":

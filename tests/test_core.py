@@ -73,6 +73,46 @@ class TestPreferenceFromLabels:
         with pytest.raises(LabelError, match="2"):
             preference_from_labels(U2, ["a"])
 
+    @pytest.mark.parametrize("labels, message", [
+        (["a", "b", "z"], "unknown label 'z'"),
+        (["a", "a", "b"], "duplicate label 'a' in ranking"),
+        # an unknown and a repeated label: the first in list order names the error
+        (["z", "a", "a"], "unknown label 'z'"),
+        (["a", "a", "z"], "duplicate label 'a' in ranking"),
+        (["a", "b"], "ranking has 2 labels but the universe has 3"),
+        (["a", "b", "c", "d"], "ranking has 4 labels but the universe has 3"),
+        (["a", "b", 3], "unknown label 3"),
+    ])
+    def test_error_text(self, labels, message):
+        with pytest.raises(LabelError) as info:
+            preference_from_labels(U3, labels)
+        assert str(info.value) == message
+
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "z", 3]), max_size=5))
+    def test_matches_the_label_by_label_oracle(self, labels):
+        def oracle():
+            if len(labels) != U4.n:
+                raise LabelError(
+                    f"ranking has {len(labels)} labels but the universe has {U4.n}"
+                )
+            seen = []
+            for lab in labels:
+                if lab in seen:
+                    raise LabelError(f"duplicate label {shown(lab)} in ranking")
+                if lab not in U4.labels:
+                    raise LabelError(f"unknown label {shown(lab)}")
+                seen.append(lab)
+            return tuple(U4.labels.index(lab) for lab in labels)
+
+        def outcome(build):
+            try:
+                return build()
+            except LabelError as exc:
+                return str(exc)
+
+        got = outcome(lambda: preference_from_labels(U4, labels).ranking)
+        assert got == outcome(oracle)
+
 
 class TestContourClass:
     def test_top_element_full_menu(self):
@@ -366,3 +406,28 @@ class TestUniverse:
         assert mask == 0b101
         assert U3.labels_of(mask) == ("a", "c")
         assert U3.describe_mask(mask) == "{a,c}"
+
+    @pytest.mark.parametrize("label, message", [
+        ("z", "unknown label 'z'"),
+        (3, "unknown label 3"),
+        (None, "unknown label None"),
+        (["a"], "unknown label ['a']"),
+    ])
+    def test_index_error_text(self, label, message):
+        assert U3.index("b") == 1
+        with pytest.raises(LabelError) as info:
+            U3.index(label)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels, message", [
+        (["a", "z"], "unknown label 'z'"),
+        (["a", "a"], "duplicate label 'a' in menu"),
+        (["z", "a", "a"], "unknown label 'z'"),
+        (["a", "a", "z"], "duplicate label 'a' in menu"),
+        (["a", 3], "unknown label 3"),
+        (["a", ["b"]], "unknown label ['b']"),
+    ])
+    def test_menu_of_labels_error_text(self, labels, message):
+        with pytest.raises(LabelError) as info:
+            U3.menu_of_labels(labels)
+        assert str(info.value) == message

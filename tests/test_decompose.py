@@ -455,6 +455,11 @@ class TestExtend:
         for seed in seeds:
             assert extend_edge_decomposable(seed) == restart_scan_extend(seed)
 
+    def test_a_model_it_cannot_grow_is_returned_as_it_is(self):
+        u = Universe.of_size(4)
+        grown = extend_edge_decomposable(Model.of(u, [preference_from_labels(u, "abcd")]))
+        assert extend_edge_decomposable(grown) is grown
+
     def test_rejects_nondecomposable_seed(self):
         with pytest.raises(NotEdgeDecomposableError):
             extend_edge_decomposable(fishburn_model())

@@ -101,6 +101,21 @@ class TestModelDocuments:
         with pytest.raises(DocumentError, match=r"preferences\[0\]: expected a list of labels"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("rankings, message", [
+        ([["a", "b", "c"], ["a", "b", "z"]], "preferences[1]: unknown label 'z'"),
+        ([["a", "a", "b"]], "preferences[0]: duplicate label 'a' in ranking"),
+        ([["z", "a", "a"]], "preferences[0]: unknown label 'z'"),
+        ([["a", "a", "z"]], "preferences[0]: duplicate label 'a' in ranking"),
+        ([["a", "b"]], "preferences[0]: ranking has 2 labels but the universe has 3"),
+        ([["a", "b", 3]], "preferences[0]: expected a list of labels"),
+    ])
+    def test_label_error_text(self, rankings, message):
+        doc = {"kind": "model", "version": 1, "alternatives": ["a", "b", "c"],
+               "preferences": rankings}
+        with pytest.raises(DocumentError) as info:
+            parse_model(doc)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("version", [True, "1", 2])
     def test_version_must_be_the_integer_one(self, version):
         doc = {"kind": "model", "version": version, "alternatives": ["a"], "preferences": [["a"]]}
@@ -148,6 +163,20 @@ class TestDistributionDocuments:
 
         with pytest.raises(DocumentError, match="floating-point"):
             parse_distribution(_loads(doc_text))
+
+    @pytest.mark.parametrize("key, message", [
+        ("a>b>z", "masses.a>b>z: unknown label 'z'"),
+        ("a>a>b", "masses.a>a>b: duplicate label 'a' in ranking"),
+        ("z>a>a", "masses.z>a>a: unknown label 'z'"),
+        ("a>a>z", "masses.a>a>z: duplicate label 'a' in ranking"),
+        ("a>b", "masses.a>b: ranking has 2 labels but the universe has 3"),
+    ])
+    def test_label_error_text(self, key, message):
+        doc = {"kind": "distribution", "version": 1, "alternatives": ["a", "b", "c"],
+               "masses": {"c>b>a": "1/2", key: "1/2"}}
+        with pytest.raises(DocumentError) as info:
+            parse_distribution(doc)
+        assert str(info.value) == message
 
     def test_masses_must_sum_to_one(self):
         doc = {

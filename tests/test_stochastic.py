@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
@@ -97,6 +98,63 @@ class TestAsFraction:
     def test_fraction_returned_as_is(self):
         value = Fraction(2, 3)
         assert as_fraction(value) is value
+
+    # a plain rational ("3", "3/4" in ASCII digits) takes a fast path through
+    # int(); every other string must read as it did through the regex checks
+    # and Fraction(text)
+    @pytest.mark.parametrize("text, expected", [
+        ("1/2", Fraction(1, 2)),
+        ("0", Fraction(0)),
+        ("007/010", Fraction(7, 10)),
+        ("3/0", "cannot parse rational '3/0'"),
+        ("-1/2", Fraction(-1, 2)),
+        (" 1/2", Fraction(1, 2)),
+        ("1_000/3", Fraction(1000, 3)),
+        ("\u0663/4", Fraction(3, 4)),
+        ("\u00b2/3", "cannot parse rational '\u00b2/3'"),
+        ("0.25", Fraction(1, 4)),
+        ("1e3", "exponent notation '1e3' rejected: write the value as a decimal "
+                "or a ratio like '1/1000'"),
+        ("1/", "cannot parse rational '1/'"),
+        ("/2", "cannot parse rational '/2'"),
+        ("1/2/3", "cannot parse rational '1/2/3'"),
+        ("9" * 4300, Fraction(int("9" * 4300))),
+        ("9" * 4301, "cannot parse rational: an integer has more than 4300 digits"),
+        ("1/" + "9" * 4300, Fraction(1, int("9" * 4300))),
+        ("1/" + "9" * 4301, "cannot parse rational: an integer has more than 4300 digits"),
+    ])
+    def test_plain_and_other_strings(self, text, expected):
+        assert sys.get_int_max_str_digits() == 4300
+        assert _outcome(as_fraction, text) == expected
+        assert _outcome(regex_path_fraction, text) == expected
+
+    @given(st.text(alphabet="0123456789/_-. e\u0663\u00b2", max_size=8))
+    def test_matches_the_regex_path(self, text):
+        assert _outcome(as_fraction, text) == _outcome(regex_path_fraction, text)
+
+
+def regex_path_fraction(text: str) -> Fraction:
+    """Oracle: a string read through the exponent and digit-run checks, then
+    Fraction(text), with no fast path."""
+    if re.search(r"[eE][-+]?\d", text):
+        raise RumkitError(
+            f"exponent notation {text!r} rejected: write the value as a decimal "
+            "or a ratio like '1/1000'"
+        )
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) - run.count("_") > limit for run in re.findall(r"[\d_]+", text)):
+        raise RumkitError(f"cannot parse rational: an integer has more than {limit} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise RumkitError(f"cannot parse rational {text!r}") from None
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except RumkitError as exc:
+        return str(exc)
 
 
 class TestPreferenceDistribution:
