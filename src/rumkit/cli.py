@@ -89,13 +89,17 @@ def _order_universe(labels: list[str]) -> tuple[Universe, Preference]:
 
 # -- subcommands --------------------------------------------------------------
 
-def _cmd_bound(args: argparse.Namespace) -> Result:
+def _require_printable_factorial(n: int) -> None:
     # refuse before computing n!: a huge n would never finish, and an n! past
     # Python's int-to-str digit limit could not be printed (0 lifts that
     # limit, which would leave no cap at all)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if args.n > 1 and lgamma(args.n + 1) / log(10) >= limit:
-        raise RumkitError(f"n={args.n}: n! would have more than {limit} digits")
+    if n > 1 and lgamma(n + 1) / log(10) >= limit:
+        raise RumkitError(f"n={n}: n! would have more than {limit} digits")
+
+
+def _cmd_bound(args: argparse.Namespace) -> Result:
+    _require_printable_factorial(args.n)
     bound = max_identified_size(args.n)
     total = factorial(args.n)
     ratio = Fraction(bound, total)
@@ -311,7 +315,9 @@ def _cmd_scrum_max(args: argparse.Namespace) -> Result:
 def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
     model = documents.load_model(args.model)
     if args.search_order:
+        _require_printable_factorial(model.universe.n)
         search = scrum_order_exists(model)
+        total = factorial(model.universe.n)
         payload: dict = {
             "single_crossing": search.exists,
             "orders_checked": search.orders_checked,
@@ -321,13 +327,13 @@ def _cmd_check_single_crossing(args: argparse.Namespace) -> Result:
             payload["enumeration"] = [ranking_text(p) for p in search.enumeration]
             lines = [
                 f"single crossing holds for order {ranking_text(search.order)} "
-                f"(searched {search.orders_checked} orders)",
+                f"(order {search.orders_checked} of {total} in lexicographic order)",
                 "enumeration:",
             ] + [f"  {ranking_text(p)}" for p in search.enumeration]
         else:
             lines = [
                 f"no order admits a single-crossing enumeration "
-                f"(searched all {search.orders_checked} orders)"
+                f"(none of the {total} orders)"
             ]
         return OK if search.exists else NEGATIVE, payload, lines
     labels = _parse_order_labels(args.order)

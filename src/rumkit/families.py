@@ -19,16 +19,13 @@ from .core import (
     require_same_universe,
 )
 from .decompose import recover_distribution
-from .errors import CapExceededError, NotCarumError, RumkitError
+from .errors import NotCarumError, RumkitError
 from .stochastic import (
     PreferenceDistribution,
     RandomChoiceRule,
     mobius_inverse,
     validate_rcr,
 )
-
-SCRUM_SEARCH_CAP = 8
-
 
 @dataclass(frozen=True)
 class SingleCrossingResult:
@@ -154,9 +151,9 @@ def _nested_enumeration(
 
 @dataclass(frozen=True)
 class OrderSearchResult:
-    """Outcome of the order search. orders_checked counts the orders decided
-    up to the answer, in the order of permutations(range(n)): through the first
-    passing order for a yes, all n! for a no."""
+    """Outcome of the order search. orders_checked is the first passing
+    order's position in the order of permutations(range(n)), counting from 1,
+    for a yes, and n! for a no."""
 
     exists: bool
     order: Preference | None
@@ -167,79 +164,60 @@ class OrderSearchResult:
         return self.exists
 
 
-def _chain(sets: list[int]) -> list[int] | None:
-    """The member bitmasks sorted by size when each is a subset of the next,
-    else None."""
+def _chain(sets: list[int]) -> bool:
+    """Is each member bitmask, sorted by size, a subset of the next?"""
     sets = sorted(sets, key=int.bit_count)
-    if all(a & ~b == 0 for a, b in zip(sets, sets[1:])):
-        return sets
-    return None
-
-
-def _some_order_passes(agree: list[list[int]], size: int) -> bool:
-    """Does some exogenous order make the model single crossing?
-
-    Yes exactly when some member e leaves the pairs' agreement sets nested,
-    each taken on the side of its pair that does not hold e. If an order
-    passes, e is the first member of its enumeration: each side without e is
-    a suffix of it, or empty. Conversely, sorting the members by how many of
-    those sets hold them makes every agreement set a suffix or a prefix, and
-    the last member's ranking is a passing order.
-    """
-    n = len(agree)
-    everyone = (1 << size) - 1
-    sets = [agree[x][y] for x in range(n) for y in range(x + 1, n)]
-    return any(
-        _chain([s ^ everyone if s >> e & 1 else s for s in sets]) is not None
-        for e in range(size)
-    )
+    return all(a & ~b == 0 for a, b in zip(sets, sets[1:]))
 
 
 def scrum_order_exists(model: Model) -> OrderSearchResult:
     """The first exogenous order, in the order of permutations(range(n)),
-    that makes the model single crossing.
+    that makes the model single crossing, found in one pass over the members.
 
-    Existence is decided first, in polynomial time, so a no answer enumerates
-    no order. Otherwise prefixes are walked depth first, alternatives
-    ascending: placing x fixes the agreement sets of x over every alternative
-    not yet placed, and a prefix whose fixed sets are not nested is skipped
-    with all its completions, since no superfamily of a crossing pair is a
-    chain. The agreement sets are member bitmasks, built once per model. The
-    walk is not proven polynomial, so the search stays capped.
+    An order passes exactly when it ranks every disputed pair (one the
+    members do not all rank alike) the way some member e does, where e
+    leaves the pairs' agreement sets nested, each taken on the side of its
+    pair without e; that e is the last member of the enumeration. For each
+    such e, the first order that keeps e's disputed pairs places, at each
+    step, the smallest alternative that nothing left must come before. The
+    answer is the smallest of these orders, and its position is its Lehmer
+    code plus one. A no answer builds no order. The agreement sets are
+    member bitmasks, built once per model.
     """
     universe = model.universe
     n = universe.n
-    if n > SCRUM_SEARCH_CAP:
-        raise CapExceededError(
-            f"order search may walk many of the n! orders and is capped at "
-            f"n={SCRUM_SEARCH_CAP}, got n={n}"
-        )
+    size = len(model)
     # along an enumeration each pair switches at most once, so a
     # single-crossing model has at most C(n, 2) + 1 members
-    agree = _agreement(model) if len(model) <= n * (n - 1) // 2 + 1 else None
-    if agree is None or not _some_order_passes(agree, len(model)):
+    if size > n * (n - 1) // 2 + 1:
         return OrderSearchResult(False, None, None, factorial(n))
-    checked = 0
-
-    def first(prefix: list[int], chain: list[int]) -> tuple[int, ...] | None:
-        nonlocal checked
-        rest = [y for y in range(n) if y not in prefix]
-        if not rest:
-            checked += 1
-            return tuple(prefix)
-        for x in rest:
-            fixed = _chain(chain + [agree[x][y] for y in rest if y != x])
-            if fixed is None:
-                checked += factorial(len(rest) - 1)
-                continue
-            found = first(prefix + [x], fixed)
-            if found is not None:
-                return found
-        return None
-
-    order = Preference(universe, first([], []))
+    agree = _agreement(model)
+    everyone = (1 << size) - 1
+    sets = [agree[x][y] for x in range(n) for y in range(x + 1, n)]
+    best = None
+    for e in range(size):
+        if not _chain([s ^ everyone if s >> e & 1 else s for s in sets]):
+            continue
+        # before[y]: the alternatives that e ranks over y on a disputed pair
+        before = [0] * n
+        for x, row in enumerate(agree):
+            for y, s in enumerate(row):
+                if s >> e & 1 and s != everyone:
+                    before[y] |= 1 << x
+        rank, ranking, left = 0, [], (1 << n) - 1
+        while left:
+            x = next(x for x in range(n) if left >> x & 1 and not before[x] & left)
+            rank = rank * left.bit_count() + (left & (1 << x) - 1).bit_count()
+            ranking.append(x)
+            left ^= 1 << x
+        if best is None or rank < best[0]:
+            best = rank, ranking
+    if best is None:
+        return OrderSearchResult(False, None, None, factorial(n))
+    rank, ranking = best
+    order = Preference(universe, tuple(ranking))
     result = _nested_enumeration(model, order, agree)
-    return OrderSearchResult(True, order, result.enumeration, checked)
+    return OrderSearchResult(True, order, result.enumeration, rank + 1)
 
 
 def max_scrum_model(order: Preference) -> tuple[Model, tuple[Preference, ...]]:

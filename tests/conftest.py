@@ -55,6 +55,19 @@ def random_model(rng: random.Random, universe: Universe, size: int) -> Model:
     return Model.of(universe, chosen.values())
 
 
+def three_swaps(rng: random.Random, n: int) -> Model:
+    """The benchmark's no-order shape: adjacent swaps at positions 0-2 of one
+    random ranking."""
+    u = Universe.of_size(n)
+    base = rng.sample(range(n), n)
+    rankings = []
+    for pos in range(3):
+        r = base[:]
+        r[pos], r[pos + 1] = r[pos + 1], r[pos]
+        rankings.append(tuple(r))
+    return Model.of(u, [Preference(u, r) for r in rankings])
+
+
 def random_distribution(
     rng: random.Random, model: Model, max_weight: int = 12
 ) -> PreferenceDistribution:
@@ -369,6 +382,60 @@ def scrum_order_exists_by_check(model: Model) -> OrderSearchResult:
         if result:
             return OrderSearchResult(True, order, result.enumeration, checked)
     return OrderSearchResult(False, None, None, checked)
+
+
+def scrum_order_exists_by_walk(model: Model) -> OrderSearchResult:
+    """Oracle for scrum_order_exists past the per-order oracle's reach: walk
+    order prefixes depth first, alternatives ascending. Placing x fixes the
+    agreement sets of x over every alternative not yet placed; a prefix whose
+    fixed sets are not nested is skipped with all its completions, which
+    still count as checked, since no superfamily of a crossing pair is a
+    chain. Every complete order the walk reaches passes."""
+    universe = model.universe
+    n = universe.n
+    agree = [
+        [sum(1 << i for i, p in enumerate(model) if p.prefers(x, y)) for y in range(n)]
+        for x in range(n)
+    ]
+    checked = 0
+
+    def chain(sets: list[int]) -> list[int] | None:
+        sets = sorted(sets, key=int.bit_count)
+        return sets if all(a & ~b == 0 for a, b in zip(sets, sets[1:])) else None
+
+    def first(prefix: list[int], fixed: list[int]) -> tuple[int, ...] | None:
+        nonlocal checked
+        rest = [y for y in range(n) if y not in prefix]
+        if not rest:
+            checked += 1
+            return tuple(prefix)
+        for x in rest:
+            grown = chain(fixed + [agree[x][y] for y in rest if y != x])
+            if grown is None:
+                checked += factorial(len(rest) - 1)
+                continue
+            found = first(prefix + [x], grown)
+            if found is not None:
+                return found
+        return None
+
+    ranking = first([], [])
+    if ranking is None:
+        return OrderSearchResult(False, None, None, checked)
+    order = Preference(universe, ranking)
+    enumeration = single_crossing_by_sets(model, order).enumeration
+    return OrderSearchResult(True, order, enumeration, checked)
+
+
+def lexicographic_rank(ranking: tuple[int, ...]) -> int:
+    """How many orders come before the ranking in permutations order: each
+    position contributes the later entries smaller than its own, times the
+    number of orders of the positions after it."""
+    n = len(ranking)
+    return sum(
+        sum(y < x for y in ranking[i + 1 :]) * factorial(n - 1 - i)
+        for i, x in enumerate(ranking)
+    )
 
 
 @pytest.fixture

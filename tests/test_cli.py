@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rumkit
+from conftest import lexicographic_rank, three_swaps
 from rumkit import (
     Model,
     PreferenceDistribution,
@@ -557,6 +558,51 @@ class TestScrumCommands:
         )
         assert code == 1
         assert "720" in out
+
+    def test_search_order_past_eight(self, capsys, tmp_path, rng):
+        labels = list("abcdefghijkl")
+        rng.shuffle(labels)
+        model_file = str(tmp_path / "scrum12.json")
+        run(capsys, "scrum-max", "-n", "12", "--order", ",".join(labels), "--out", model_file)
+        # the only passing orders are the construction's order and its reverse
+        first = min(labels, labels[::-1])
+        position = 1 + lexicographic_rank(tuple(sorted(labels).index(x) for x in first))
+        argv = ["check-single-crossing", "--model", model_file, "--search-order"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == (
+            f"single crossing holds for order {'>'.join(first)} "
+            f"(order {position} of 479001600 in lexicographic order)"
+        )
+        code, out, err = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["order"] == first and payload["orders_checked"] == position
+        assert len(payload["enumeration"]) == 67
+
+    def test_search_order_three_swaps_past_eight(self, capsys, tmp_path, rng):
+        model_file = tmp_path / "swaps12.json"
+        save_model(three_swaps(rng, 12), model_file)
+        argv = ["check-single-crossing", "--model", str(model_file), "--search-order"]
+        assert run(capsys, *argv) == (
+            1, "no order admits a single-crossing enumeration (none of the 479001600 orders)\n", ""
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out) == {"single_crossing": False, "orders_checked": 479001600}
+
+    def test_search_order_capped_at_the_digit_limit(self, capsys, tmp_path, rng):
+        # 1559! is the first factorial with more than 4300 digits, the
+        # default int-to-str limit, so the count could not be printed
+        model_file = tmp_path / "swaps1559.json"
+        save_model(three_swaps(rng, 1559), model_file)
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(
+                capsys, "check-single-crossing", "--model", str(model_file),
+                "--search-order", *json_flag,
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: n=1559: n! would have more than 4300 digits\n"
 
 
 class TestExtend:

@@ -9,13 +9,15 @@ import pytest
 from conftest import (
     RecoveryError,
     double_cover_closed_form,
+    lexicographic_rank,
     random_distribution,
     random_model,
     scrum_order_exists_by_check,
+    scrum_order_exists_by_walk,
     single_crossing_by_sets,
+    three_swaps,
 )
 from rumkit import (
-    CapExceededError,
     Model,
     NotCarumError,
     OrderSearchResult,
@@ -140,11 +142,27 @@ class TestScrumOrderSearch:
             m = random_model(rng, u, 2)
             assert scrum_order_exists(m).exists
 
-    def test_cap(self):
-        u = Universe.of_size(9)
-        m = Model.of(u, [Preference(u, tuple(range(9)))])
-        with pytest.raises(CapExceededError):
-            scrum_order_exists(m)
+    def test_lexicographic_rank_counts_earlier_orders(self):
+        for pos, perm in enumerate(permutations(range(5))):
+            assert lexicographic_rank(perm) == pos
+
+    @pytest.mark.parametrize("n", [9, 12, 20])
+    def test_maximal_model_past_eight(self, rng, n):
+        # every pair switches once along the construction, so the only
+        # passing orders are the construction's order and its reverse
+        u = Universe.of_size(n)
+        ranking = tuple(rng.sample(range(n), n))
+        model, _ = max_scrum_model(Preference(u, ranking))
+        res = scrum_order_exists(model)
+        assert res.exists
+        assert res.order.ranking == min(ranking, ranking[::-1])
+        assert check_single_crossing(model, res.order, res.enumeration)
+        assert res.orders_checked == 1 + lexicographic_rank(res.order.ranking)
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_three_swaps_past_eight_decide_every_order(self, rng, n):
+        res = scrum_order_exists(three_swaps(rng, n))
+        assert res == OrderSearchResult(False, None, None, factorial(n))
 
 
 def random_scrum_case(rng, n: int) -> Model:
@@ -155,19 +173,6 @@ def random_scrum_case(rng, n: int) -> Model:
         prefs = max_scrum_model(Preference(u, tuple(rng.sample(range(n), n))))[1]
         return Model.of(u, rng.sample(prefs, rng.randrange(1, len(prefs) + 1)))
     return random_model(rng, u, min(rng.randrange(1, 7), factorial(n)))
-
-
-def three_swaps(rng, n: int) -> Model:
-    """The benchmark's no-order shape: adjacent swaps at positions 0-2 of one
-    random ranking."""
-    u = Universe.of_size(n)
-    base = rng.sample(range(n), n)
-    rankings = []
-    for pos in range(3):
-        r = base[:]
-        r[pos], r[pos + 1] = r[pos + 1], r[pos]
-        rankings.append(tuple(r))
-    return Model.of(u, [Preference(u, r) for r in rankings])
 
 
 class TestBitmaskAgainstOracles:
@@ -201,6 +206,20 @@ class TestBitmaskAgainstOracles:
         assert answers[1] == {True}
         assert all(answers[n] == {True, False} for n in range(3, 8))
         assert late > 20
+
+    def test_search_matches_prefix_walk_at_eight_and_nine(self, rng):
+        # the per-order oracle is too slow here; the prefix walk checks the
+        # first order and its position on subsets of maximal models
+        late = 0
+        for n in (8, 9):
+            u = Universe.of_size(n)
+            for _ in range(30):
+                prefs = max_scrum_model(Preference(u, tuple(rng.sample(range(n), n))))[1]
+                m = Model.of(u, rng.sample(prefs, rng.randrange(1, len(prefs) + 1)))
+                res = scrum_order_exists(m)
+                assert res == scrum_order_exists_by_walk(m)
+                late += res.orders_checked > 1
+        assert late > 30
 
     def test_existence_on_every_model_at_three(self):
         prefs = tuple(all_preferences(Universe.of_size(3)))
