@@ -72,7 +72,6 @@ from .identify import (
     max_identified_size,
     mobius_vector,
     rank,
-    rule_vector,
 )
 from .stochastic import (
     ChoiceData,

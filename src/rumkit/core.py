@@ -30,15 +30,15 @@ from .errors import CapExceededError, LabelError, RumkitError, UniverseMismatchE
 RANKING_SEPARATOR = ">"
 MENU_SEPARATOR = ","
 DEFAULT_LATTICE_CAP = 20
-DEFAULT_VECTOR_CAP = 12
 CAP_ENV_VAR = "RUMKIT_MAX_N"
 
 
-def _cap_override() -> int | None:
-    """The value of RUMKIT_MAX_N, which overrides both caps, or None if unset."""
+def lattice_cap() -> int:
+    """Largest n allowed for lattice-wide operations (2^n nodes): the value
+    of RUMKIT_MAX_N when it is set and nonempty, else DEFAULT_LATTICE_CAP."""
     raw = os.environ.get(CAP_ENV_VAR)
     if not raw:
-        return None
+        return DEFAULT_LATTICE_CAP
     try:
         value = int(raw)
     except ValueError:
@@ -46,26 +46,6 @@ def _cap_override() -> int | None:
     if value < 1:
         raise RumkitError(f"{CAP_ENV_VAR}={shown(raw)} is not a positive integer")
     return value
-
-
-def lattice_cap() -> int:
-    """Largest n allowed for lattice-wide operations (2^n nodes)."""
-    return _cap_override() or DEFAULT_LATTICE_CAP
-
-
-def vector_cap() -> int:
-    """Largest n allowed for full-length choice vectors (n * 2^(n-1) coords)."""
-    return _cap_override() or DEFAULT_VECTOR_CAP
-
-
-def require_vector_cap(n: int) -> None:
-    cap = vector_cap()
-    if n > cap:
-        raise CapExceededError(
-            f"n={n} exceeds the vector cap of {cap}; "
-            f"only the closed-form bound is available at this size "
-            f"(set {CAP_ENV_VAR} to override)"
-        )
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 import enum
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Sequence, Union
 
 from .core import Model, Preference, bits_of, lattice, require_same_universe
@@ -48,10 +49,10 @@ def _peel(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], list[in
     given (model) order, that holds a key no other row left holds, and within
     it the first such key. The scan order is fixed, so the removals and the
     stuck set depend only on which rows share keys, not on the encoding:
-    packed keys and lattice coordinates give the same witness as a scan over
-    (x, A mask) tuples. Returns the (row position, key) removals in order,
-    and the positions of the rows left, ascending, when the peel gets stuck
-    (empty when every row was peeled).
+    the first-met numbers of _rows and lattice coordinates give the same
+    witness as a scan over (x, A mask) tuples. Returns the (row position,
+    key) removals in order, and the positions of the rows left, ascending,
+    when the peel gets stuck (empty when every row was peeled).
     """
     cover: dict[int, int] = {}
     for row in rows:
@@ -79,6 +80,16 @@ def _peel(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], list[in
     return order, []
 
 
+def _rows(model: Model) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The members' circuits as int rows, in model order: each contour key
+    (x, A mask) is numbered as first met, so the numbers run over only the
+    keys the model touches and no lattice is built. Returns the rows and the
+    keys by number."""
+    number = defaultdict(count().__next__)
+    rows = [[number[key] for key in pref.contour_keys()] for pref in model]
+    return rows, list(number)
+
+
 def is_edge_decomposable(model: Model) -> DecompositionResult:
     """Greedy peel: repeatedly remove a preference with a suffix-unique pair.
 
@@ -87,20 +98,17 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
     order as the witness, a tuple of (preference, (x, A mask)) entries, each
     key a contour pair unique to its preference among those not yet removed.
     Failure returns the stuck submodel in which no member has a pair unique
-    to it. The peel runs on each pair packed into one int, A mask << s | x
-    with s = n.bit_length(), so it builds no lattice and no cap applies.
+    to it. The peel runs on the first-met numbers of _rows, decoded through
+    its key list, so it builds no lattice and no cap applies.
     """
     prefs = model.preferences
-    shift = model.universe.n.bit_length()
-    low = (1 << shift) - 1
-    order, stuck = _peel(
-        [[mask << shift | x for x, mask in pref.contour_keys()] for pref in prefs]
-    )
+    rows, keys = _rows(model)
+    order, stuck = _peel(rows)
     if stuck:
         return DecompositionResult(
             False, None, Model.of(model.universe, [prefs[i] for i in stuck])
         )
-    witness = tuple((prefs[i], (key & low, key >> shift)) for i, key in order)
+    witness = tuple((prefs[i], keys[k]) for i, k in order)
     return DecompositionResult(True, witness, None)
 
 

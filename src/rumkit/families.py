@@ -141,7 +141,13 @@ def _nested_enumeration(
                     ),
                     conflict_prefs=tuple(witnesses),
                 )
-    counts = {p: sum(s >> i & 1 for s in sets) for i, p in enumerate(prefs)}
+    # a member's count is the pairs it ranks as the order does: for each x,
+    # its lower contour set met with x's strict lower set in the order
+    below = {x: lower ^ (1 << x) for x, lower in order.contour_keys()}
+    counts = {
+        p: sum((lower & below[x]).bit_count() for x, lower in p.contour_keys())
+        for p in prefs
+    }
     ordered = tuple(sorted(prefs, key=counts.__getitem__))
     verified = _verify_enumeration(ordered, order)
     if not verified:

@@ -2,60 +2,44 @@
 
 A model is identified exactly when the Mobius vectors of its preferences are
 linearly independent. Each vector is a minimal circuit of the flow diagram: n
-ones among n * 2^(n-1) coordinates. One sparse routine, structured Gaussian
+ones among n * 2^(n-1) coordinates. is_identified builds neither those
+vectors nor the lattice: each circuit is read once, as the row of first-met
+key numbers that decompose's _rows gives, so its cost grows with the model,
+not with n, and no cap applies. One sparse routine, structured Gaussian
 elimination (LaMacchia and Odlyzko, 1990), does every rank and nullspace
 computation exactly, fraction-free over the integers. A screen over GF(2),
-which reduces each circuit as an int with one bit per coordinate, may certify
+which reduces each row as an int with one bit per key number, may certify
 full rank but never a deficiency. When it fails, the greedy peel of
-decompose strips the rows that hold a key no later row holds; every
-dependency is zero on those rows, so the exact rank and the nullspace
-certificate are computed on the stuck core alone. A negative answer is
-always backed by that certificate, carrying two distinct distributions that
-induce the same rule.
+decompose strips, on the same rows, the members that hold a key no later
+member holds; every dependency is zero on those members, so the exact rank
+and the nullspace certificate are computed on the stuck core alone. A
+negative answer is always backed by that certificate, carrying two distinct
+distributions that induce the same rule, checked on their contour masses.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
-from .core import Model, Preference, lattice, require_vector_cap
-from .decompose import _peel
+from .core import Model, Preference, lattice
+from .decompose import _peel, _rows
 from .errors import RumkitError
-from .stochastic import (
-    PreferenceDistribution,
-    _from_shares,
-    _over_lcm,
-    _superset_transform,
-    as_fraction,
-    rcr_from_distribution,
-)
+from .stochastic import PreferenceDistribution, _from_shares, _over_lcm, as_fraction
 
 
 def mobius_vector(pref: Preference) -> tuple[int, ...]:
-    """0/1 vector with ones exactly at pref's n upper contour pairs."""
-    n = pref.universe.n
-    require_vector_cap(n)
-    index = lattice(n).index
+    """0/1 vector with ones exactly at pref's n upper contour pairs, over the
+    coordinates of lattice(n), so it is refused past the lattice cap."""
+    index = lattice(pref.universe.n).index
     vector = [0] * len(index)
     for key in pref.contour_keys():
         vector[index[key]] = 1
     return tuple(vector)
-
-
-def rule_vector(pref: Preference) -> tuple[int, ...]:
-    """0/1 vector with a one per nonempty menu, at that menu's best element.
-
-    The rule induced by the point mass on pref: x is best in A exactly when A
-    lies inside x's weak lower contour set, so the vector is the superset sum
-    of pref's circuit. mobius_vector checks the vector cap before the lattice
-    is fetched.
-    """
-    circuit = mobius_vector(pref)
-    return tuple(_superset_transform(lattice(pref.universe.n), circuit, 1))
 
 
 def _screen(rows: Iterable[int]) -> bool:
@@ -178,7 +162,13 @@ class IdentificationResult:
 def _certificate(model: Model, combo: dict[int, int]) -> NullspaceCertificate:
     """Certify a zero integer combination of Mobius vectors: coefficients over
     the entry of its last row, the one depending on the rows before it; nu and
-    nu_prime normalize the parts with that entry's sign and the other sign."""
+    nu_prime normalize the parts with that entry's sign and the other sign.
+
+    The combination is checked directly: its coefficients must sum to zero on
+    every contour key. Then nu and nu_prime have equal contour masses, hence
+    equal Mobius inverses and equal rules. The check costs O(|support| * n)
+    and builds no lattice.
+    """
     lead = combo[max(combo)]
     terms = [(model.preferences[j], combo[j]) for j in sorted(combo)]
     pos, neg = [0] * len(model), [0] * len(model)
@@ -186,9 +176,13 @@ def _certificate(model: Model, combo: dict[int, int]) -> NullspaceCertificate:
         (pos if (v > 0) == (lead > 0) else neg)[j] = abs(v)
     if not any(neg):
         raise RumkitError("degenerate nullspace vector: one-signed coefficients")
-    nu, nu_prime = _from_shares(model, pos), _from_shares(model, neg)
-    if rcr_from_distribution(nu) != rcr_from_distribution(nu_prime):
+    total: dict[tuple[int, int], int] = defaultdict(int)
+    for pref, v in terms:
+        for key in pref.contour_keys():
+            total[key] += v
+    if any(total.values()):
         raise RumkitError("certificate distributions do not induce the same rule")
+    nu, nu_prime = _from_shares(model, pos), _from_shares(model, neg)
     coefficients = tuple((p, Fraction(v, lead)) for p, v in terms)
     return NullspaceCertificate(coefficients, nu, nu_prime)
 
@@ -196,30 +190,27 @@ def _certificate(model: Model, combo: dict[int, int]) -> NullspaceCertificate:
 def is_identified(model: Model) -> IdentificationResult:
     """Decide identification on Mobius vectors; certify any failure.
 
-    The preferences' circuits, in model order, are first screened over GF(2)
-    as bit rows: independence mod 2 certifies independence over Q, but a
-    dependency mod 2 is never a certificate. When the screen fails, the
-    greedy peel runs on packed keys, as in is_edge_decomposable. Each peeled
-    row holds a key that no later row and no stuck row holds, so every
-    dependency, over Q or GF(2), is zero on the peeled rows: the model is
-    identified exactly when its stuck core is, and the first row depending
-    on the rows before it is a stuck row with the same combination. The
-    exact rank is taken on the core's vectors over only the keys the core
-    touches; if it is deficient, the integer elimination of the core rows
-    stops at the first dependency, which, mapped back to model positions,
-    gives the certificate.
+    The preferences' circuits are read once, in model order, as the rows of
+    first-met key numbers from _rows; no lattice is built and no cap applies.
+    The rows are first screened over GF(2) as bit rows: independence mod 2
+    certifies independence over Q, but a dependency mod 2 is never a
+    certificate. When the screen fails, the greedy peel runs on the same
+    rows, as in is_edge_decomposable. Each peeled row holds a key that no
+    later row and no stuck row holds, so every dependency, over Q or GF(2),
+    is zero on the peeled rows: the model is identified exactly when its
+    stuck core is, and the first row depending on the rows before it is a
+    stuck row with the same combination. The exact rank is taken on the
+    core's vectors over only the keys the core touches; if it is deficient,
+    the integer elimination of the core rows stops at the first dependency,
+    which, mapped back to model positions, gives the certificate.
     """
-    n = model.universe.n
-    require_vector_cap(n)
-    index = lattice(n).index
-    if _screen(sum(1 << index[key] for key in pref.contour_keys()) for pref in model):
+    rows, _ = _rows(model)
+    if _screen(sum(1 << k for k in row) for row in rows):
         return IdentificationResult(True, None)
-    shift = n.bit_length()
-    rows = [[mask << shift | x for x, mask in pref.contour_keys()] for pref in model]
     _, stuck = _peel(rows)
     # the core's rows over its own keys, numbered as first met
-    number: dict[int, int] = {}
-    core = [{number.setdefault(key, len(number)): 1 for key in rows[i]} for i in stuck]
+    number = defaultdict(count().__next__)
+    core = [{number[k]: 1 for k in rows[i]} for i in stuck]
     if rank([int(c in row) for c in range(len(number))] for row in core) == len(core):
         return IdentificationResult(True, None)
     combo = next(combo for combo in _eliminate(core) if combo is not None)

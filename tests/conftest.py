@@ -37,6 +37,7 @@ from rumkit.core import bits_of
 from rumkit.documents import dump_choice_data
 from rumkit.flowgraph import FlowDiagram
 from rumkit.identify import _certificate, _eliminate
+from rumkit.stochastic import _superset_transform
 
 
 def random_preference(rng: random.Random, universe: Universe) -> Preference:
@@ -160,6 +161,15 @@ def verify_contour_mass_identity(dist: PreferenceDistribution) -> bool:
         for key in pref.contour_keys():
             mass[key] += m
     return mobius_inverse(rcr_from_distribution(dist)).values == mass
+
+
+def rule_vector(pref: Preference) -> tuple[int, ...]:
+    """Oracle for the rule of the point mass on pref, as a 0/1 vector with a
+    one per nonempty menu, at that menu's best element: x is best in A
+    exactly when A lies inside x's weak lower contour set, so the vector is
+    the superset sum of pref's circuit."""
+    coords = lattice(pref.universe.n)
+    return tuple(_superset_transform(coords, mobius_vector(pref), 1))
 
 
 class RecoveryError(RumkitError):

@@ -20,6 +20,7 @@ from conftest import (
     random_mobius_values,
     random_model,
     random_rule,
+    rule_vector,
     verify_contour_mass_identity,
 )
 from rumkit import (
@@ -52,7 +53,6 @@ from rumkit import (
     rank,
     rcr_from_distribution,
     recover_distribution,
-    rule_vector,
     scrum_order_exists,
     shadowed_triple_model,
     validate_witness,

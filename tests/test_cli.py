@@ -240,12 +240,47 @@ class TestExitCodes:
         assert not Path(out_path).exists()
 
     def test_edge_decomposability_answered_past_the_cap(self, capsys, tmp_path, monkeypatch):
-        # the peel packs each pair into one int and builds no lattice
+        # the peel numbers each pair as first met and builds no lattice
         model_file = tmp_path / "ls.json"
         run(capsys, "latin-square", "--order", "a,b,c,d", "--out", str(model_file))
         argv = ["check-edge-decomposable", "--model", str(model_file), "--witness"]
         expected = run(capsys, *argv)
         assert expected[0] == 0 and "peeling order" in expected[1]
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert run(capsys, *argv) == expected
+
+    def test_identification_answered_past_every_cap(self, capsys, tmp_path, monkeypatch):
+        # the paper's Latin-square theorem at n=60: the screen reads each
+        # circuit once, numbered as first met, and builds no lattice
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        model_file = tmp_path / "ls.json"
+        order = ",".join(f"x{i}" for i in range(1, 61))
+        run(capsys, "latin-square", "--order", order, "--out", str(model_file))
+        argv = ["check-identified", "--model", str(model_file)]
+        expected = run(capsys, *argv)
+        assert expected == (0, "identified: yes (size 60)\n", "")
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        assert run(capsys, *argv) == expected
+
+    def test_non_identification_certified_past_every_cap(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Fishburn's four rankings, each followed by the same 21 alternatives
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        fixed = [f"x{i}" for i in range(1, 22)]
+        model_file = tmp_path / "fishburn25.json"
+        model_file.write_text(json.dumps({
+            "kind": "model", "version": 1, "alternatives": list("abcd") + fixed,
+            "preferences": [list(r) + fixed for r in ("abcd", "badc", "abdc", "bacd")],
+        }), encoding="utf-8")
+        argv = ["check-identified", "--model", str(model_file), "--certificate"]
+        expected = run(capsys, *argv)
+        code, out, err = expected
+        assert code == 1 and err == ""
+        assert out.startswith("identified: no (size 4)\n")
+        tail = ">".join(fixed)
+        assert f"  nu: a>b>c>d>{tail} = 1/2\n" in out
+        assert f"  nu': a>b>d>c>{tail} = 1/2\n" in out
         monkeypatch.setenv(CAP_ENV_VAR, "3")
         assert run(capsys, *argv) == expected
 

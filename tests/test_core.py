@@ -341,19 +341,22 @@ class TestCaps:
         with pytest.raises(CapExceededError):
             build_diagram(Universe.of_size(21))
 
-    def test_vector_cap_blocks_large_vectors(self):
+    def test_lattice_cap_blocks_large_vectors(self):
         from rumkit import CapExceededError, mobius_vector
+        from rumkit.core import _build_coordinates
 
-        u = Universe.of_size(13)
-        with pytest.raises(CapExceededError):
-            mobius_vector(Preference(u, tuple(range(13))))
+        before = _build_coordinates.cache_info()
+        u = Universe.of_size(21)
+        with pytest.raises(CapExceededError, match="n=21 exceeds the lattice cap of 20"):
+            mobius_vector(Preference(u, tuple(range(21))))
+        assert _build_coordinates.cache_info() == before
 
     def test_env_var_overrides_caps(self, monkeypatch):
         from rumkit import CapExceededError, mobius_vector
-        from rumkit.core import CAP_ENV_VAR, lattice_cap, vector_cap
+        from rumkit.core import CAP_ENV_VAR, lattice_cap
 
         monkeypatch.setenv(CAP_ENV_VAR, "13")
-        assert lattice_cap() == vector_cap() == 13
+        assert lattice_cap() == 13
         u = Universe.of_size(13)
         assert sum(mobius_vector(Preference(u, tuple(range(13))))) == 13
         monkeypatch.setenv(CAP_ENV_VAR, "3")
@@ -363,20 +366,19 @@ class TestCaps:
     @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5", "9" * 5000])
     def test_override_must_be_a_positive_integer(self, monkeypatch, raw):
         from rumkit import CapExceededError
-        from rumkit.core import CAP_ENV_VAR, lattice_cap, vector_cap
+        from rumkit.core import CAP_ENV_VAR, lattice_cap
 
         monkeypatch.setenv(CAP_ENV_VAR, raw)
         message = f"^RUMKIT_MAX_N={re.escape(shown(raw))} is not a positive integer$"
-        for read_cap in (lattice_cap, vector_cap):
-            with pytest.raises(RumkitError, match=message) as info:
-                read_cap()
-            assert not isinstance(info.value, CapExceededError)
+        with pytest.raises(RumkitError, match=message) as info:
+            lattice_cap()
+        assert not isinstance(info.value, CapExceededError)
 
     def test_empty_override_keeps_the_defaults(self, monkeypatch):
-        from rumkit.core import CAP_ENV_VAR, lattice_cap, vector_cap
+        from rumkit.core import CAP_ENV_VAR, lattice_cap
 
         monkeypatch.setenv(CAP_ENV_VAR, "")
-        assert (lattice_cap(), vector_cap()) == (20, 12)
+        assert lattice_cap() == 20
 
 
 class TestUniverse:

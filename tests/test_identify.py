@@ -11,6 +11,7 @@ from conftest import (
     nullspace_vector,
     random_model,
     random_preference,
+    rule_vector,
 )
 from rumkit import (
     Model,
@@ -28,6 +29,7 @@ from rumkit import (
     fixtures,
     is_edge_decomposable,
     is_identified,
+    latin_square,
     lattice,
     max_identified_size,
     mobius_inverse,
@@ -37,9 +39,9 @@ from rumkit import (
     preference_from_labels,
     rank,
     rcr_from_distribution,
-    rule_vector,
 )
 from rumkit import identify
+from rumkit.decompose import _rows
 from rumkit.identify import _eliminate, _screen
 
 
@@ -256,11 +258,14 @@ class TestScreen:
         vectors = [mobius_vector(p) for p in model]
         accepted = _screen(bit_rows(model))
         assert accepted == (rank_mod2(vectors) == len(model))
+        # is_identified screens the same circuits numbered as first met
+        rows, _ = _rows(model)
+        assert _screen(sum(1 << k for k in row) for row in rows) == accepted
         if accepted:
             assert rank_oracle(vectors) == len(model)
         return accepted
 
-    @pytest.mark.parametrize("n, most", [(3, 6), (4, 24), (5, 60)])
+    @pytest.mark.parametrize("n, most", [(2, 2), (3, 6), (4, 24), (5, 60), (6, 100)])
     def test_acceptance_is_sound_on_random_models(self, rng, n, most):
         u = Universe.of_size(n)
         accepted = sum(
@@ -395,6 +400,21 @@ class TestIsIdentified:
         assert set(cert.nu.support).isdisjoint(cert.nu_prime.support)
         assert best_element_rule(cert.nu) == best_element_rule(cert.nu_prime)
 
+    def test_answers_build_no_lattice(self):
+        from rumkit.core import _build_coordinates
+
+        u = Universe.of_size(14)
+        fixed = tuple(range(4, 14))
+        fishburn = Model.of(
+            u, [Preference(u, tuple(u.index(c) for c in r) + fixed)
+                for r in ("abcd", "badc", "abdc", "bacd")]
+        )
+        before = _build_coordinates.cache_info()
+        assert is_identified(latin_square(Preference(u, tuple(range(14)))))
+        res = is_identified(fishburn)
+        assert not res and len(res.certificate.coefficients) == 4
+        assert _build_coordinates.cache_info() == before
+
     def test_double_cover_identified(self):
         assert is_identified(double_cover_model())
 
@@ -452,6 +472,10 @@ class TestStuckCore:
             m = random_model(rng, u, rng.randrange(1, most + 1))
             res = is_identified(m)
             assert res == identified_on_all_rows(m)
+            if not res:
+                # the certificate's contour-mass check, against the rules
+                cert = res.certificate
+                assert rcr_from_distribution(cert.nu) == rcr_from_distribution(cert.nu_prime)
             deficient += not res
         assert deficient >= 5 or n < 4
 

@@ -19,6 +19,7 @@ from conftest import (
     random_mobius_values,
     random_model,
     random_rule,
+    rule_vector,
     verify_contour_mass_identity,
 )
 from rumkit import (
@@ -45,7 +46,6 @@ from rumkit import (
     preference_basis,
     preference_from_labels,
     rcr_from_distribution,
-    rule_vector,
     sample_empirical_rule,
     validate_rcr,
 )
