@@ -66,6 +66,10 @@ INPUT_ERROR = 2
 
 Result = tuple[int, dict, list[str]]
 
+# scrum-max writes C(n,2)+1 rankings of n labels, so its memory grows as n^3:
+# 94 MiB and 0.3 s at n=100, 274 MiB at n=150, 688 MiB at n=200
+_SCRUM_MAX_N = 100
+
 
 def _mass_lines(dist: PreferenceDistribution, label: str = "mass") -> list[str]:
     return [f"{label}: {ranking_text(p)} = {m}" for p, m in dist.entries]
@@ -286,6 +290,8 @@ def _cmd_generate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_scrum_max(args: argparse.Namespace) -> Result:
+    if args.n > _SCRUM_MAX_N:
+        raise RumkitError(f"n={args.n}: scrum-max is capped at n={_SCRUM_MAX_N}")
     if args.order:
         labels = _parse_order_labels(args.order)
         if len(labels) != args.n:

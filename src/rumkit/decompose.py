@@ -41,23 +41,26 @@ class DecompositionResult:
         return self.decomposable
 
 
-def _peel(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+def _peel(
+    rows: Sequence[Sequence[int]], size: int
+) -> tuple[list[tuple[int, int]], list[int]]:
     """The greedy peel over rows of int keys, one row per preference.
 
     Each row lists a member's contour pairs in upper-contour order, encoded
-    one-to-one as ints. The peel repeatedly takes the first row left, in the
-    given (model) order, that holds a key no other row left holds, and within
-    it the first such key. The scan order is fixed, so the removals and the
+    one-to-one as ints in range(size), so cover is counted in a list indexed
+    by key. The peel repeatedly takes the first row left, in the given
+    (model) order, that holds a key no other row left holds, and within it
+    the first such key. The scan order is fixed, so the removals and the
     stuck set depend only on which rows share keys, not on the encoding:
     the first-met numbers of _rows and lattice coordinates give the same
     witness as a scan over (x, A mask) tuples. Returns the (row position,
     key) removals in order, and the positions of the rows left, ascending,
     when the peel gets stuck (empty when every row was peeled).
     """
-    cover: dict[int, int] = {}
+    cover = [0] * size
     for row in rows:
         for key in row:
-            cover[key] = cover.get(key, 0) + 1
+            cover[key] += 1
     # rows left, last first: a hit is almost always among the first rows
     # left, so it sits near the end of this list, where del moves little
     left = list(range(len(rows) - 1, -1, -1))
@@ -103,7 +106,7 @@ def is_edge_decomposable(model: Model) -> DecompositionResult:
     """
     prefs = model.preferences
     rows, keys = _rows(model)
-    order, stuck = _peel(rows)
+    order, stuck = _peel(rows, len(keys))
     if stuck:
         return DecompositionResult(
             False, None, Model.of(model.universe, [prefs[i] for i in stuck])
@@ -220,7 +223,7 @@ def recover_distribution(
     index = coords.index
     prefs = model.preferences
     rows = [[index[key] for key in pref.contour_keys()] for pref in prefs]
-    order, stuck = _peel(rows)
+    order, stuck = _peel(rows, len(coords.keys))
     if stuck:
         raise NotEdgeDecomposableError(
             f"model is not edge decomposable; stuck on {len(stuck)} preferences"

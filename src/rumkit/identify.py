@@ -5,16 +5,15 @@ linearly independent. Each vector is a minimal circuit of the flow diagram: n
 ones among n * 2^(n-1) coordinates. is_identified builds neither those
 vectors nor the lattice: each circuit is read once, as the row of first-met
 key numbers that decompose's _rows gives, so its cost grows with the model,
-not with n, and no cap applies. One sparse routine, structured Gaussian
-elimination (LaMacchia and Odlyzko, 1990), does every rank and nullspace
-computation exactly, fraction-free over the integers. A screen over GF(2),
-which reduces each row as an int with one bit per key number, may certify
-full rank but never a deficiency. When it fails, the greedy peel of
-decompose strips, on the same rows, the members that hold a key no later
-member holds; every dependency is zero on those members, so the exact rank
-and the nullspace certificate are computed on the stuck core alone. A
-negative answer is always backed by that certificate, carrying two distinct
-distributions that induce the same rule, checked on their contour masses.
+not with n, and no cap applies. The greedy peel of decompose runs first on
+those rows. An empty stuck core is a yes by the paper's sufficient
+condition: an edge-decomposable model is identified. Otherwise every
+dependency is zero on the peeled members, so the answer is the stuck core's.
+One sparse routine, structured Gaussian elimination (LaMacchia and Odlyzko,
+1990), does every rank and nullspace computation exactly, fraction-free over
+the integers. A negative answer is always backed by a certificate, carrying
+two distributions that induce the same rule, checked on their contour
+masses.
 """
 
 from __future__ import annotations
@@ -40,29 +39,6 @@ def mobius_vector(pref: Preference) -> tuple[int, ...]:
     for key in pref.contour_keys():
         vector[index[key]] = 1
     return tuple(vector)
-
-
-def _screen(rows: Iterable[int]) -> bool:
-    """True when the bit rows are independent over GF(2).
-
-    Each row is an int with one bit per coordinate. Rows are reduced by XOR,
-    pivoting on their highest set bit, and the first row to reduce to zero
-    ends the screen. Independence mod 2 proves independence over Q: some
-    maximal minor is odd, so it is nonzero. A dependency mod 2 proves
-    nothing.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row ^= pivot
-        else:
-            return False
-    return True
 
 
 def _eliminate(rows: Iterable[dict[int, int]]) -> Iterator[dict[int, int] | None]:
@@ -192,22 +168,21 @@ def is_identified(model: Model) -> IdentificationResult:
 
     The preferences' circuits are read once, in model order, as the rows of
     first-met key numbers from _rows; no lattice is built and no cap applies.
-    The rows are first screened over GF(2) as bit rows: independence mod 2
-    certifies independence over Q, but a dependency mod 2 is never a
-    certificate. When the screen fails, the greedy peel runs on the same
-    rows, as in is_edge_decomposable. Each peeled row holds a key that no
-    later row and no stuck row holds, so every dependency, over Q or GF(2),
-    is zero on the peeled rows: the model is identified exactly when its
-    stuck core is, and the first row depending on the rows before it is a
-    stuck row with the same combination. The exact rank is taken on the
-    core's vectors over only the keys the core touches; if it is deficient,
-    the integer elimination of the core rows stops at the first dependency,
-    which, mapped back to model positions, gives the certificate.
+    The greedy peel runs on those rows, as in is_edge_decomposable. When it
+    removes every row, the model is edge decomposable and so identified.
+    Otherwise each peeled row holds a key that no later row and no stuck row
+    holds, so every dependency is zero on the peeled rows: the model is
+    identified exactly when its stuck core is, and the first row depending
+    on the rows before it is a stuck row with the same combination. The
+    exact rank is taken on the core's vectors over only the keys the core
+    touches; if it is deficient, the integer elimination of the core rows
+    stops at the first dependency, which, mapped back to model positions,
+    gives the certificate.
     """
-    rows, _ = _rows(model)
-    if _screen(sum(1 << k for k in row) for row in rows):
+    rows, keys = _rows(model)
+    _, stuck = _peel(rows, len(keys))
+    if not stuck:
         return IdentificationResult(True, None)
-    _, stuck = _peel(rows)
     # the core's rows over its own keys, numbered as first met
     number = defaultdict(count().__next__)
     core = [{number[k]: 1 for k in rows[i]} for i in stuck]

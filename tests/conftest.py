@@ -25,11 +25,15 @@ from rumkit import (
     SpanningTree,
     Universe,
     WitnessError,
+    all_preferences,
+    build_diagram,
     check_single_crossing,
+    directed_spanning_tree,
     double_cover_model,
     lattice,
     mobius_inverse,
     mobius_vector,
+    preference_basis,
     rank,
     rcr_from_distribution,
 )
@@ -302,6 +306,21 @@ def search_basis(
             cur ^= 1 << y
         basis.append((Preference(universe, tuple(ranking)), (x, mask)))
     return basis
+
+
+def max_basis(n: int) -> Model:
+    """The maximal identified model: one preference per non-tree edge of the
+    flow diagram's spanning tree."""
+    d = build_diagram(Universe.of_size(n))
+    return Model.of(d.universe, [p for p, _ in preference_basis(directed_spanning_tree(d), d)])
+
+
+def max_basis_plus_one(n: int) -> Model:
+    """max_basis(n) plus the first preference outside it in all_preferences
+    order: one more member than the bound allows, so never identified."""
+    basis = max_basis(n)
+    extra = next(p for p in all_preferences(basis.universe) if p not in basis)
+    return Model.of(basis.universe, [*basis, extra])
 
 
 def greedy_peel_by_counter(model: Model) -> DecompositionResult:

@@ -22,22 +22,19 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
+from conftest import max_basis, max_basis_plus_one
 from rumkit import (
     Model,
     Preference,
     PreferenceDistribution,
     RumkitError,
     Universe,
-    all_preferences,
-    build_diagram,
-    directed_spanning_tree,
     fixtures,
     is_edge_decomposable,
     is_identified,
     latin_square,
     max_identified_size,
     mobius_inverse,
-    preference_basis,
     rcr_from_distribution,
     recover_distribution,
 )
@@ -63,26 +60,13 @@ class Draws:
         return tuple(ranking)
 
 
-def max_basis(n: int) -> Model:
-    u = Universe.of_size(n)
-    diagram = build_diagram(u, appended=True)
-    tree = directed_spanning_tree(diagram)
-    return Model.of(u, [p for p, _ in preference_basis(tree, diagram)])
-
-
-def plus_one(model: Model) -> Model:
-    """model plus the first preference outside it, in all_preferences order."""
-    extra = next(p for p in all_preferences(model.universe) if p not in model)
-    return Model.of(model.universe, [*model, extra])
-
-
 def corpus() -> list[tuple[str, Model]]:
     models = [(name, m) for name, m in fixtures().items() if isinstance(m, Model)]
     for n in range(3, 10):
         basis = max_basis(n)
         models.append((f"max-basis-{n}", basis))
         if len(basis) < factorial(n):
-            models.append((f"max-basis-plus-one-{n}", plus_one(basis)))
+            models.append((f"max-basis-plus-one-{n}", max_basis_plus_one(n)))
     draws = Draws(2024)
     for n in range(2, 10):
         u = Universe.of_size(n)

@@ -250,7 +250,7 @@ class TestExitCodes:
         assert run(capsys, *argv) == expected
 
     def test_identification_answered_past_every_cap(self, capsys, tmp_path, monkeypatch):
-        # the paper's Latin-square theorem at n=60: the screen reads each
+        # the paper's Latin-square theorem at n=60: the peel reads each
         # circuit once, numbered as first met, and builds no lattice
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
         model_file = tmp_path / "ls.json"
@@ -305,6 +305,15 @@ class TestExitCodes:
             "error: 1000000000 draws per menu over 15 menus is more than 100000000 draws\n"
         )
         assert not (tmp_path / "d.json").exists()
+
+    def test_scrum_max_refused_past_its_cap(self, capsys, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "max_scrum_model", built.append)
+        out_file = tmp_path / "scrum.json"
+        code, out, err = run(capsys, "scrum-max", "-n", "101", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == "error: n=101: scrum-max is capped at n=100\n"
+        assert built == [] and not out_file.exists()
 
     def test_zero_samples_refused(self, capsys, tmp_path):
         fixture, nu = tmp_path / "fishburn.json", tmp_path / "nu1.json"

@@ -8,6 +8,8 @@ import pytest
 from conftest import (
     best_element_rule,
     identified_on_all_rows,
+    max_basis,
+    max_basis_plus_one,
     nullspace_vector,
     random_model,
     random_preference,
@@ -20,13 +22,10 @@ from rumkit import (
     RumkitError,
     Universe,
     all_preferences,
-    build_diagram,
-    directed_spanning_tree,
     double_cover_model,
     extend_edge_decomposable,
     fishburn_distributions,
     fishburn_model,
-    fixtures,
     is_edge_decomposable,
     is_identified,
     latin_square,
@@ -35,14 +34,12 @@ from rumkit import (
     mobius_inverse,
     mobius_vector,
     point_mass,
-    preference_basis,
     preference_from_labels,
     rank,
     rcr_from_distribution,
 )
 from rumkit import identify
-from rumkit.decompose import _rows
-from rumkit.identify import _eliminate, _screen
+from rumkit.identify import _eliminate
 
 
 def rank_oracle(vectors) -> int:
@@ -70,7 +67,7 @@ def rank_oracle(vectors) -> int:
 
 
 def rank_mod2(vectors) -> int:
-    """Dense row reduction over GF(2), independent of the bit-row screen."""
+    """Dense row reduction over GF(2)."""
     rows = [[v % 2 for v in vec] for vec in vectors]
     r = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -83,12 +80,6 @@ def rank_mod2(vectors) -> int:
                 rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
-
-
-def bit_rows(model: Model) -> list[int]:
-    """The model's circuits as the screen reads them: one bit per pair."""
-    index = lattice(model.universe.n).index
-    return [sum(1 << index[key] for key in p.contour_keys()) for p in model]
 
 
 def with_swap_square(rng, model: Model) -> Model:
@@ -254,37 +245,13 @@ class TestRank:
 
 
 class TestScreen:
-    def check_screen(self, model: Model) -> bool:
-        vectors = [mobius_vector(p) for p in model]
-        accepted = _screen(bit_rows(model))
-        assert accepted == (rank_mod2(vectors) == len(model))
-        # is_identified screens the same circuits numbered as first met
-        rows, _ = _rows(model)
-        assert _screen(sum(1 << k for k in row) for row in rows) == accepted
-        if accepted:
-            assert rank_oracle(vectors) == len(model)
-        return accepted
-
-    @pytest.mark.parametrize("n, most", [(2, 2), (3, 6), (4, 24), (5, 60), (6, 100)])
-    def test_acceptance_is_sound_on_random_models(self, rng, n, most):
-        u = Universe.of_size(n)
-        accepted = sum(
-            self.check_screen(random_model(rng, u, rng.randrange(1, most + 1)))
-            for _ in range(15)
-        )
-        assert accepted >= 3
-
-    def test_acceptance_is_sound_on_fixtures(self):
-        models = [m for m in fixtures().values() if isinstance(m, Model)]
-        assert len(models) == 4
-        for model in models:
-            self.check_screen(model)
+    """The mod-2 view of the circuits decides nothing: a GF(2) dependency
+    may still be independent over Q."""
 
     def test_double_cover_answers_through_exact_rank(self, monkeypatch):
         model = double_cover_model()
         vectors = [mobius_vector(p) for p in model]
         assert (len(model), rank_mod2(vectors)) == (8, 7)
-        assert not _screen(bit_rows(model))
         calls = []
 
         def counted(vectors):
@@ -363,12 +330,7 @@ class TestIsIdentified:
         assert deficient >= 5
 
     def test_max_basis_plus_one_certified_n7(self):
-        u = Universe.of_size(7)
-        diagram = build_diagram(u, appended=True)
-        basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
-        inside = {p.ranking for p in basis}
-        extra = next(p for p in all_preferences(u) if p.ranking not in inside)
-        res = is_identified(Model.of(u, basis + [extra]))
+        res = is_identified(max_basis_plus_one(7))
         assert not res
         cert = res.certificate
         assert set(cert.nu.support).isdisjoint(cert.nu_prime.support)
@@ -386,12 +348,7 @@ class TestIsIdentified:
             assert res.certificate.coefficients == expected
 
     def test_max_basis_plus_one_certified_n8(self):
-        u = Universe.of_size(8)
-        diagram = build_diagram(u, appended=True)
-        basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
-        inside = {p.ranking for p in basis}
-        extra = next(p for p in all_preferences(u) if p.ranking not in inside)
-        model = Model.of(u, basis + [extra])
+        model = max_basis_plus_one(8)
         res = is_identified(model)
         assert not res
         cert = res.certificate
@@ -450,19 +407,8 @@ class TestIsIdentified:
             )
 
 
-def max_basis_plus_one(n: int) -> Model:
-    """The max-basis model plus the first preference outside it: one more
-    member than the bound allows, so never identified."""
-    u = Universe.of_size(n)
-    diagram = build_diagram(u, appended=True)
-    basis = [p for p, _ in preference_basis(directed_spanning_tree(diagram), diagram)]
-    inside = {p.ranking for p in basis}
-    extra = next(p for p in all_preferences(u) if p.ranking not in inside)
-    return Model.of(u, basis + [extra])
-
-
 class TestStuckCore:
-    """A failed screen is decided on the greedy peel's stuck core."""
+    """Every model is decided on the greedy peel's stuck core."""
 
     @pytest.mark.parametrize("n, most", [(2, 2), (3, 6), (4, 24), (5, 60), (6, 100)])
     def test_answers_and_certificates_match_the_full_row_oracle(self, rng, n, most):
@@ -491,7 +437,7 @@ class TestStuckCore:
                 pref = random_preference(rng, u)
                 chosen.setdefault(pref.ranking, pref)
             m = Model.of(u, chosen.values())
-            assert not _screen(bit_rows(m))
+            assert rank_mod2([mobius_vector(p) for p in m]) < len(m)
             res = is_identified(m)
             assert res == identified_on_all_rows(m)
             identified += res.identified
@@ -503,15 +449,19 @@ class TestStuckCore:
         failed = 0
         for _ in range(40):
             m = random_model(rng, u, rng.randrange(1, most + 1))
-            if _screen(bit_rows(m)):
+            if rank_mod2([mobius_vector(p) for p in m]) == len(m):
                 continue
             failed += 1
             stuck = is_edge_decomposable(m).stuck
             assert stuck is not None and len(stuck) > 0
-            assert not _screen(bit_rows(stuck))
+            assert rank_mod2([mobius_vector(p) for p in stuck]) < len(stuck)
         assert failed >= 5
 
-    def test_decomposable_models_pass_the_screen(self, rng):
+    def test_decomposable_models_are_identified_without_rank(self, rng, monkeypatch):
+        def refused(vectors):
+            raise AssertionError("rank called on a decomposable model")
+
+        monkeypatch.setattr(identify, "rank", refused)
         seen = 0
         for n in range(2, 7):
             u = Universe.of_size(n)
@@ -520,11 +470,14 @@ class TestStuckCore:
                 if not is_edge_decomposable(m):
                     continue
                 seen += 1
-                assert _screen(bit_rows(m))
-                assert _screen(bit_rows(extend_edge_decomposable(m)))
+                for model in (m, extend_edge_decomposable(m)):
+                    res = is_identified(model)
+                    assert res.identified and res.certificate is None
+                    vectors = [mobius_vector(p) for p in model]
+                    assert rank_oracle(vectors) == len(model)
         assert seen >= 50
 
-    def test_a_failed_screen_reads_only_the_core(self, monkeypatch):
+    def test_a_no_reads_only_the_core(self, monkeypatch):
         model = max_basis_plus_one(7)
         stuck = is_edge_decomposable(model).stuck
         touched = len({key for p in stuck for key in p.contour_keys()})
@@ -541,6 +494,25 @@ class TestStuckCore:
         assert len(ranked) == 1 and len(ranked[0]) == len(stuck)
         assert max(ranked[0]) <= touched < len(lattice(7).keys)
         assert dense == []
+
+    def test_only_a_no_calls_rank(self, rng, monkeypatch):
+        # perfbench reads identify.screen_hit_ratio from the rank and
+        # mobius_vector calls: none for a yes, one for a no
+        ranked, dense = [], []
+
+        def counted(vectors):
+            ranked.append(1)
+            return rank(vectors)
+
+        monkeypatch.setattr(identify, "rank", counted)
+        monkeypatch.setattr(identify, "mobius_vector", dense.append)
+        basis = max_basis(7)
+        half = Model.of(basis.universe, rng.sample(basis.preferences, len(basis) // 2))
+        for model in (basis, half):
+            assert is_identified(model)
+        assert (ranked, dense) == ([], [])
+        assert not is_identified(max_basis_plus_one(7))
+        assert (ranked, dense) == ([1], [])
 
 
 class TestBound:

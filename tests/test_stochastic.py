@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    max_basis,
     alternating_sum_mobius,
     best_element_rule,
     document_counts,
@@ -33,9 +34,7 @@ from rumkit import (
     Universe,
     all_preferences,
     as_fraction,
-    build_diagram,
     check_stochastic_rationality_necessary,
-    directed_spanning_tree,
     double_cover_model,
     fishburn_distributions,
     flow_conservation_check,
@@ -43,7 +42,6 @@ from rumkit import (
     mobius_forward,
     mobius_inverse,
     point_mass,
-    preference_basis,
     preference_from_labels,
     rcr_from_distribution,
     sample_empirical_rule,
@@ -429,11 +427,6 @@ class TestContourMassIdentity:
             for _ in range(10):
                 m = random_model(rng, u, rng.randrange(1, 7))
                 assert verify_contour_mass_identity(random_distribution(rng, m))
-
-
-def max_basis(n: int) -> Model:
-    d = build_diagram(Universe.of_size(n))
-    return Model.of(d.universe, [p for p, _ in preference_basis(directed_spanning_tree(d), d)])
 
 
 class TestTransformOracles:
