@@ -6,7 +6,9 @@ seeded random models at n=1-7. The random models come from a small
 generator written here, so the corpus does not depend on the internals of
 `random`. Each function's answers on the corpus are
 serialized to canonical JSON and hashed on their own, so a failure names the
-function whose answers changed. The expected digests live in
+function whose answers changed. The bytes each document writer puts on disk
+over the corpus, and the --json stdout of the max-basis -n 9 pipeline, are
+hashed the same way, one digest per writer. The expected digests live in
 tests/data/answers_golden.json. Regenerate them only for an intended change
 of answers, from the repository root:
 
@@ -16,8 +18,12 @@ of answers, from the repository root:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -38,6 +44,8 @@ from rumkit import (
     rcr_from_distribution,
     recover_distribution,
 )
+from rumkit.cli import main
+from rumkit.documents import save_choice_data, save_distribution, save_model
 
 GOLDEN = Path(__file__).parent / "data" / "answers_golden.json"
 
@@ -124,15 +132,21 @@ def _report(model: Model, data) -> list:
     ]
 
 
+def _weighted(model: Model, weights: list[int]) -> PreferenceDistribution:
+    total = sum(weights)
+    return PreferenceDistribution(
+        model, {p: Fraction(w, total) for p, w in zip(model, weights)}
+    )
+
+
+def _weights_1_to_5(model: Model) -> PreferenceDistribution:
+    return _weighted(model, [1 + i % 5 for i in range(len(model))])
+
+
 def recovery_answer(model: Model) -> list:
     """Recovery of a distribution with weights 1..5 from its rule and from
     its Mobius inverse, and from the same rule on every second member."""
-    weights = [1 + i % 5 for i in range(len(model))]
-    total = sum(weights)
-    dist = PreferenceDistribution(
-        model, {p: Fraction(w, total) for p, w in zip(model, weights)}
-    )
-    rule = rcr_from_distribution(dist)
+    rule = rcr_from_distribution(_weights_1_to_5(model))
     half = Model.of(model.universe, model.preferences[::2])
     return [
         _report(model, rule),
@@ -148,6 +162,69 @@ FUNCTIONS = {
 }
 
 
+# -- written documents and --json stdout ---------------------------------------
+
+def model_documents(models, folder: Path):
+    path = folder / "model.json"
+    for label, model in models:
+        save_model(model, path)
+        yield label, path.read_bytes()
+
+
+def distribution_documents(models, folder: Path):
+    path = folder / "distribution.json"
+    for label, model in models:
+        save_distribution(_weights_1_to_5(model), path)
+        yield label, path.read_bytes()
+
+
+def choice_data_documents(models, folder: Path):
+    """The exact rule of a distribution with seeded weights 1..9, on every
+    corpus model at n <= 6, written bare and with sample counts."""
+    path = folder / "choice-data.json"
+    draws = Draws(2025)
+    for label, model in models:
+        if model.universe.n > 6:
+            continue
+        rule = rcr_from_distribution(
+            _weighted(model, [1 + draws.below(9) for _ in range(len(model))])
+        )
+        save_choice_data(rule, path)
+        yield label, path.read_bytes()
+        save_choice_data(rule, path, trials=2 * rule.denominator, seed=draws.below(100))
+        yield label + "-counts", path.read_bytes()
+
+
+CLI_PIPELINE = (
+    ["max-basis", "-n", "9", "--out", "mb.json", "--json"],
+    ["check-edge-decomposable", "--model", "mb.json", "--witness", "--json"],
+    ["extend", "--model", "mb.json", "--out", "ext.json", "--json"],
+)
+
+
+def cli_json_outputs(models, folder: Path):
+    """Exit code and stdout of each CLI_PIPELINE command, run in folder with
+    relative paths so that no output names the folder."""
+    home = os.getcwd()
+    os.chdir(folder)
+    try:
+        for argv in CLI_PIPELINE:
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = main(argv)
+            yield " ".join(argv), f"{code}\n{stdout.getvalue()}".encode("utf-8")
+    finally:
+        os.chdir(home)
+
+
+DOCUMENTS = {
+    "save_model": model_documents,
+    "save_distribution": distribution_documents,
+    "save_choice_data": choice_data_documents,
+    "cli --json": cli_json_outputs,
+}
+
+
 def digests() -> dict:
     models = corpus()
     result: dict = {"models": len(models)}
@@ -155,6 +232,12 @@ def digests() -> dict:
         records = [[label, answer(model)] for label, model in models]
         text = json.dumps(records, separators=(",", ":"))
         result[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for name, written in DOCUMENTS.items():
+        digest = hashlib.sha256()
+        with tempfile.TemporaryDirectory() as folder:
+            for label, data in written(models, Path(folder)):
+                digest.update(f"{label}\n{len(data)}\n".encode("utf-8") + data)
+        result[name] = digest.hexdigest()
     return result
 
 
@@ -164,11 +247,13 @@ def test_answers_match_golden():
     assert actual["models"] == expected["models"]
     for name in FUNCTIONS:
         assert actual[name] == expected[name], f"answers of {name} changed"
+    for name in DOCUMENTS:
+        assert actual[name] == expected[name], f"bytes of {name} changed"
 
 
 if __name__ == "__main__":
     result = digests()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(FUNCTIONS)} digests over {result['models']} models to {GOLDEN}",
+    print(f"wrote {len(FUNCTIONS) + len(DOCUMENTS)} digests over {result['models']} models to {GOLDEN}",
           file=sys.stderr)
