@@ -2,7 +2,8 @@
 
 Every subcommand returns its result as (exit code, payload, lines): the JSON
 payload and the human-readable text lines. main prints the payload with
---json and the lines otherwise, and nothing else prints a result; a
+--json, through documents.dumps (the writer every saved document uses), and
+the lines otherwise, and nothing else prints a result; a
 subcommand with a large table (mobius) builds only the form main prints and
 leaves the other empty. main parses with one parser, built when the module
 is imported and shared by every call in the process. Exit codes:
@@ -14,7 +15,6 @@ input errors. All output is a deterministic function of the inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -515,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
-            print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+            print(documents.dumps(payload))
         else:
             print("\n".join(lines))
         return code

@@ -157,15 +157,28 @@ class Preference:
     )
 
     def __post_init__(self) -> None:
+        ranking = self.ranking
         n = self.universe.n
-        if tuple(sorted(self.ranking)) != tuple(range(n)):
+        if not isinstance(ranking, tuple):
+            raise RumkitError(f"ranking {shown(ranking)} is not a tuple")
+        # the suffix masks, built worst first in one pass that also checks the
+        # ranking: n items in 0..n-1 whose bits fill n places are a permutation
+        masks = []
+        mask = 0
+        try:
+            for x in reversed(ranking):
+                if not 0 <= x < n:
+                    break
+                mask |= 1 << x
+                masks.append(mask)
+        except TypeError:  # an item that is not an int, such as 2.0 or "b"
+            mask = 0
+        if len(masks) != n or mask != (1 << n) - 1:
             raise RumkitError(
-                f"ranking {self.ranking} is not a permutation of 0..{n - 1}"
+                f"ranking {shown(ranking)} is not a permutation of 0..{n - 1}"
             )
-        suffix = [0] * (n + 1)
-        for pos in range(n - 1, -1, -1):
-            suffix[pos] = suffix[pos + 1] | (1 << self.ranking[pos])
-        object.__setattr__(self, "_suffix_masks", tuple(suffix[:n]))
+        masks.reverse()
+        object.__setattr__(self, "_suffix_masks", tuple(masks))
 
     def prefers(self, x: int, y: int) -> bool:
         """True iff x is ranked strictly above y: y is not x and lies in x's
@@ -192,7 +205,7 @@ class Preference:
         return Preference(self.universe, self.ranking[::-1])
 
     def to_labels(self) -> tuple[str, ...]:
-        return tuple(self.universe.labels[x] for x in self.ranking)
+        return tuple(map(self.universe.labels.__getitem__, self.ranking))
 
     def __str__(self) -> str:
         return "≻".join(self.to_labels())
@@ -209,14 +222,15 @@ def preference_from_labels(universe: Universe, labels: Iterable[str]) -> Prefere
         return Preference(universe, tuple(map(universe._index.__getitem__, labels)))
     except (KeyError, TypeError, RumkitError):
         pass
-    # an unknown or repeated label: the first one in list order names the error
+    # an unknown or repeated label: the first one in list order names the
+    # error; index refuses an unknown (or unhashable) label before the set sees it
     seen = set()
     ranking = []
     for lab in labels:
+        ranking.append(universe.index(lab))
         if lab in seen:
             raise LabelError(f"duplicate label {shown(lab)} in ranking")
         seen.add(lab)
-        ranking.append(universe.index(lab))
     return Preference(universe, tuple(ranking))
 
 

@@ -4,6 +4,15 @@ All rationals serialize as canonical strings ("1/2", "3"); floating-point
 JSON numbers are rejected with a pointer at the fix. Saving is canonical
 (sorted keys, two-space indent, trailing newline) so that load/save
 round-trips are byte-identical.
+
+dumps is the one JSON writer: every save_* and the CLI's --json output go
+through it. Its text is byte for byte what json.dumps(value, sort_keys=True,
+indent=2, ensure_ascii=False) returns, which CPython serves only from its
+pure-Python encoder. dumps builds each line with the C encode_basestring and
+one str.join per container. It hands every other subtree to json.dumps, so
+those bytes and errors stay json's too: a dict with a key that is not a str,
+and a value whose type is not exactly str, int, bool, None, list, tuple or
+dict (a float, an IntEnum, a str subclass outside a list of strings).
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring as _encode
 from pathlib import Path
 from typing import Union
 
@@ -56,8 +66,67 @@ def _loads(text: str) -> object:
         ) from None
 
 
+_INDENT = "  "
+
+
+def dumps(value: object) -> str:
+    """value as canonical JSON text: sorted keys, two-space indent, no escape
+    of non-ASCII text, and no trailing newline."""
+    return _dumps_at(value, "\n")
+
+
+def _dumps_at(value: object, newline: str) -> str:
+    # newline is "\n" and the indent of value's own level: every line of the
+    # text after its first starts with it
+    kind = type(value)
+    if kind is str:
+        return _encode(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + _INDENT
+        try:
+            body = ("," + inner).join(map(_encode, value))
+        except TypeError:  # an item that is not a str
+            body = ("," + inner).join([
+                _encode(item) if type(item) is str else _dumps_at(item, inner)
+                for item in value
+            ])
+        return "[" + inner + body + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + _INDENT
+        try:
+            keys = sorted(value)
+            names = list(map(_encode, keys))
+        except TypeError:  # a key that is not a str
+            return _dumps_by_json(value, newline)
+        body = ("," + inner).join([
+            name + ": " + (_encode(item) if type(item) is str else _dumps_at(item, inner))
+            for name, item in zip(names, map(value.__getitem__, keys))
+        ])
+        return "{" + inner + body + newline + "}"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _dumps_by_json(value, newline)
+
+
+def _dumps_by_json(value: object, newline: str) -> str:
+    # json.dumps indents value's text from level 0; JSON strings hold no raw
+    # newline, so each newline in it starts a line, moved to value's level
+    text = json.dumps(value, sort_keys=True, indent=_INDENT, ensure_ascii=False)
+    return text.replace("\n", newline)
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dumps(doc) + "\n"
 
 
 def _field_fraction(value: object, where: str) -> Fraction:
@@ -116,11 +185,14 @@ def parse_model(doc: object) -> Model:
         raise DocumentError("preferences: expected a nonempty list of rankings")
     prefs = []
     for i, ranking in enumerate(raw):
-        if not isinstance(ranking, list) or not all(isinstance(a, str) for a in ranking):
+        if not isinstance(ranking, list):
             raise DocumentError(f"preferences[{i}]: expected a list of labels")
         try:
             prefs.append(preference_from_labels(universe, ranking))
-        except (LabelError, RumkitError) as exc:
+        except RumkitError as exc:
+            # a label that is not a str is named before any other fault
+            if not all(isinstance(a, str) for a in ranking):
+                raise DocumentError(f"preferences[{i}]: expected a list of labels") from None
             raise DocumentError(f"preferences[{i}]: {exc}") from None
     try:
         return Model.of(universe, prefs)
@@ -310,7 +382,7 @@ def load_choice_data(path: PathLike) -> ChoiceData:
 def ranking_text(pref: Preference) -> str:
     """The preference's labels best first, joined by the ranking separator,
     which no label contains."""
-    return RANKING_SEPARATOR.join(pref.to_labels())
+    return RANKING_SEPARATOR.join(map(pref.universe.labels.__getitem__, pref.ranking))
 
 
 def dump_distribution(dist: PreferenceDistribution) -> dict:

@@ -82,6 +82,7 @@ class TestPreferenceFromLabels:
         (["a", "b"], "ranking has 2 labels but the universe has 3"),
         (["a", "b", "c", "d"], "ranking has 4 labels but the universe has 3"),
         (["a", "b", 3], "unknown label 3"),
+        (["a", ["b"], "c"], "unknown label ['b']"),
     ])
     def test_error_text(self, labels, message):
         with pytest.raises(LabelError) as info:
@@ -260,6 +261,25 @@ class TestMinimalMutualAgreement:
         u1 = Universe.of_size(1)
         with pytest.raises(RumkitError):
             check_minimal_mutual_agreement(Model.of(u1, [Preference(u1, (0,))]))
+
+
+class TestPreferenceRanking:
+    @pytest.mark.parametrize("ranking, message", [
+        # a list is unhashable, so Model.of would fail on it with a bare TypeError
+        ([0, 1, 2], "ranking [0, 1, 2] is not a tuple"),
+        # 2.0 compares equal to 2, and a shift refuses it
+        ((0, 1, 2.0), "ranking (0, 1, 2.0) is not a permutation of 0..2"),
+        ((0, "b", 2), "ranking (0, 'b', 2) is not a permutation of 0..2"),
+        ((0, 1), "ranking (0, 1) is not a permutation of 0..2"),
+        ((0, 1, 1), "ranking (0, 1, 1) is not a permutation of 0..2"),
+        ((0, 1, -1), "ranking (0, 1, -1) is not a permutation of 0..2"),
+        ((0, 1, 2, 3), "ranking (0, 1, 2, 3) is not a permutation of 0..2"),
+        ((0, 1, 10**18), "ranking (0, 1, 1000000000000000000) is not a permutation of 0..2"),
+    ])
+    def test_bad_ranking_refused_by_name(self, ranking, message):
+        with pytest.raises(RumkitError) as info:
+            Preference(U3, ranking)
+        assert str(info.value) == message
 
 
 class TestModel:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import enum
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import document_counts
 from rumkit import (
@@ -22,6 +25,7 @@ from rumkit import (
     sample_empirical_rule,
 )
 from rumkit.documents import (
+    _FloatLiteral,
     dump_choice_data,
     dump_distribution,
     dump_model,
@@ -32,6 +36,7 @@ from rumkit.documents import (
     parse_distribution,
     parse_model,
     save_choice_data,
+    dumps,
     save_distribution,
     save_model,
 )
@@ -372,3 +377,63 @@ class TestCanonicalization:
         assert doc["kind"] == "model" and doc["version"] == 1
         assert doc["alternatives"] == ["a", "b", "c"]
         assert len(doc["preferences"]) == 6
+
+
+def _json_dumps(value: object) -> str:
+    """The oracle: what dumps must return, byte for byte."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _outcome(write, value: object) -> object:
+    try:
+        return write(value)
+    except Exception as exc:  # the error type must match too
+        return type(exc)
+
+
+# text with control characters, quotes, backslashes, line and paragraph
+# separators and non-ASCII, mixed with any other character
+_TEXT = st.text(st.sampled_from('\x00\x1f\x7f"\\/\n\t\u2028\u2029aé€😀') | st.characters())
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert dumps(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param([], id="empty-list"),
+        pytest.param({}, id="empty-dict"),
+        pytest.param({"a": [], "b": {}, "c": [[]]}, id="nested-empty"),
+        pytest.param(("a", 1, ("b", ["c"]), ()), id="tuple"),
+        pytest.param({"menu": ("a", "b")}, id="tuple-of-str"),
+        pytest.param([_FloatLiteral("0.5"), {_FloatLiteral("1e3"): _FloatLiteral("2")}],
+                     id="float-literal"),
+        pytest.param([True, 1, False, 0, None], id="bool-beside-int"),
+        pytest.param({"t": True, "one": 1}, id="bool-beside-int-in-dict"),
+        pytest.param(-(10**300), id="big-negative-int"),
+        pytest.param([_Small.ONE, {"k": _Small.ONE}], id="int-subclass"),
+        pytest.param([1.5, {"x": -2.0, "y": [float("nan"), float("inf")]}], id="float"),
+        pytest.param({"k": [{2: ["a", {"b": 1}], 1: None}]}, id="dict-with-int-key"),
+        pytest.param({"k": {1: "a", "b": "c"}}, id="dict-with-mixed-keys"),
+        pytest.param({"k": [object()]}, id="unserializable-object"),
+        pytest.param({"q": Fraction(1, 2)}, id="fraction"),
+        pytest.param([10**5000], id="int-past-the-digit-limit"),
+    ])
+    def test_explicit_cases_match_json_dumps(self, value):
+        assert _outcome(dumps, value) == _outcome(_json_dumps, value)
+
+    def test_saved_documents_end_with_one_newline(self, tmp_path, l3_model):
+        path = tmp_path / "m.json"
+        save_model(l3_model, path)
+        assert path.read_text(encoding="utf-8") == dumps(dump_model(l3_model)) + "\n"
