@@ -97,16 +97,19 @@ def _dumps_at(value: object, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + _INDENT
+        lines = []
         try:
-            keys = sorted(value)
-            names = list(map(_encode, keys))
-        except TypeError:  # a key that is not a str
+            for key in sorted(value):
+                item = value[key]
+                lines.append(
+                    _encode(key) + ": "
+                    + (_encode(item) if type(item) is str else _dumps_at(item, inner))
+                )
+        except TypeError:
+            # a key that is not a str, or a value below that json.dumps
+            # refuses: it writes the dict, or raises that value's error
             return _dumps_by_json(value, newline)
-        body = ("," + inner).join([
-            name + ": " + (_encode(item) if type(item) is str else _dumps_at(item, inner))
-            for name, item in zip(names, map(value.__getitem__, keys))
-        ])
-        return "{" + inner + body + newline + "}"
+        return "{" + inner + ("," + inner).join(lines) + newline + "}"
     if kind is int:
         return int.__repr__(value)
     if value is None:
