@@ -29,6 +29,7 @@ from rumkit.documents import (
     dump_choice_data,
     dump_distribution,
     dump_model,
+    dumps,
     load_choice_data,
     load_distribution,
     load_model,
@@ -36,7 +37,6 @@ from rumkit.documents import (
     parse_distribution,
     parse_model,
     save_choice_data,
-    dumps,
     save_distribution,
     save_model,
 )
