@@ -2,9 +2,11 @@
 
 The corpus is the fixture models, max-basis at n=3-9, max-basis plus one
 at n=4-9 (at n=3 max-basis holds every preference), Latin squares, and
-seeded random models at n=1-7. The random models come from a small
-generator written here, so the corpus does not depend on the internals of
-`random`. Each function's answers on the corpus are
+seeded random models at n=1-7. The single-crossing functions have a corpus
+of their own, each model with an order: seeded subsets of max_scrum_model,
+three adjacent swaps of one ranking, and seeded random models, at n <= 7.
+The random draws come from a small generator written here, so neither
+corpus depends on the internals of `random`. Each function's answers are
 serialized to canonical JSON and hashed on their own, so a failure names the
 function whose answers changed. The bytes each document writer puts on disk
 over the corpus, and the --json stdout of the max-basis -n 9 pipeline, are
@@ -35,14 +37,17 @@ from rumkit import (
     PreferenceDistribution,
     RumkitError,
     Universe,
+    check_single_crossing,
     fixtures,
     is_edge_decomposable,
     is_identified,
     latin_square,
     max_identified_size,
+    max_scrum_model,
     mobius_inverse,
     rcr_from_distribution,
     recover_distribution,
+    scrum_order_exists,
 )
 from rumkit.cli import main
 from rumkit.documents import save_choice_data, save_distribution, save_model
@@ -162,6 +167,89 @@ FUNCTIONS = {
 }
 
 
+# -- single crossing -----------------------------------------------------------
+
+def crossing_corpus() -> list[tuple[str, Model, Preference]]:
+    """Models with an order to check them against: seeded subsets of
+    max_scrum_model with the construction's order at n=2-7, three adjacent
+    swaps of a drawn ranking at n=4-7, and seeded random models of up to six
+    members at n=1-7, the last two with a drawn order."""
+    draws = Draws(2026)
+    cases = []
+    for n in range(2, 8):
+        u = Universe.of_size(n)
+        for k in range(12):
+            order = Preference(u, draws.ranking(n))
+            _, enumeration = max_scrum_model(order)
+            size = 1 + draws.below(len(enumeration))
+            picked: set[int] = set()
+            while len(picked) < size:
+                picked.add(draws.below(len(enumeration)))
+            model = Model.of(u, (enumeration[i] for i in picked))
+            cases.append((f"scrum-{n}-{k}", model, order))
+    for n in range(4, 8):
+        u = Universe.of_size(n)
+        for k in range(3):
+            base = draws.ranking(n)
+            swapped = []
+            for pos in range(3):
+                ranking = list(base)
+                ranking[pos], ranking[pos + 1] = ranking[pos + 1], ranking[pos]
+                swapped.append(Preference(u, tuple(ranking)))
+            cases.append((f"three-swaps-{n}-{k}", Model.of(u, swapped), Preference(u, draws.ranking(n))))
+    for n in range(1, 8):
+        u = Universe.of_size(n)
+        for k in range(12):
+            size = 1 + draws.below(min(factorial(n), 6))
+            chosen: dict[tuple[int, ...], Preference] = {}
+            while len(chosen) < size:
+                ranking = draws.ranking(n)
+                chosen.setdefault(ranking, Preference(u, ranking))
+            order = Preference(u, draws.ranking(n))
+            cases.append((f"random-{n}-{k}", Model.of(u, chosen.values()), order))
+    return cases
+
+
+def _rankings(prefs) -> list | None:
+    return None if prefs is None else [list(p.ranking) for p in prefs]
+
+
+def _crossing(model: Model, order: Preference, enumeration=None) -> list:
+    try:
+        res = check_single_crossing(model, order, enumeration)
+    except RumkitError as exc:
+        return [f"error: {exc}"]
+    return [res.holds, _rankings(res.enumeration), res.conflict, _rankings(res.conflict_prefs)]
+
+
+def crossing_answer(model: Model, order: Preference) -> list:
+    """Existence for the order and for its reverse, then verification of the
+    members listed in canonical order, reversed and rotated by one, and with
+    the last member dropped; for a yes, also of the enumeration found, of it
+    with its first two members swapped, and of it reversed."""
+    prefs = model.preferences
+    answers = [_crossing(model, order), _crossing(model, order.reverse())]
+    for listing in (prefs, prefs[::-1], prefs[1:] + prefs[:1], prefs[:-1]):
+        answers.append(_crossing(model, order, listing))
+    found = check_single_crossing(model, order).enumeration
+    if found is not None:
+        for listing in (found, found[1::-1] + found[2:], found[::-1]):
+            answers.append(_crossing(model, order, listing))
+    return answers
+
+
+def search_answer(model: Model, order: Preference) -> list:
+    res = scrum_order_exists(model)
+    ranking = None if res.order is None else list(res.order.ranking)
+    return [res.exists, ranking, _rankings(res.enumeration), res.orders_checked]
+
+
+CROSSING = {
+    "check_single_crossing": crossing_answer,
+    "scrum_order_exists": search_answer,
+}
+
+
 # -- written documents and --json stdout ---------------------------------------
 
 def model_documents(models, folder: Path):
@@ -232,6 +320,12 @@ def digests() -> dict:
         records = [[label, answer(model)] for label, model in models]
         text = json.dumps(records, separators=(",", ":"))
         result[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cases = crossing_corpus()
+    result["crossing cases"] = len(cases)
+    for name, answer in CROSSING.items():
+        records = [[label, answer(model, order)] for label, model, order in cases]
+        text = json.dumps(records, separators=(",", ":"))
+        result[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     for name, written in DOCUMENTS.items():
         digest = hashlib.sha256()
         with tempfile.TemporaryDirectory() as folder:
@@ -245,7 +339,8 @@ def test_answers_match_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = digests()
     assert actual["models"] == expected["models"]
-    for name in FUNCTIONS:
+    assert actual["crossing cases"] == expected["crossing cases"]
+    for name in [*FUNCTIONS, *CROSSING]:
         assert actual[name] == expected[name], f"answers of {name} changed"
     for name in DOCUMENTS:
         assert actual[name] == expected[name], f"bytes of {name} changed"
@@ -255,5 +350,6 @@ if __name__ == "__main__":
     result = digests()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(FUNCTIONS) + len(DOCUMENTS)} digests over {result['models']} models to {GOLDEN}",
+    print(f"wrote {len(FUNCTIONS) + len(CROSSING) + len(DOCUMENTS)} digests over "
+          f"{result['models']} models and {result['crossing cases']} crossing cases to {GOLDEN}",
           file=sys.stderr)
