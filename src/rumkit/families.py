@@ -2,12 +2,15 @@
 fixture models used throughout the test suite.
 
 An exogenous order over alternatives is represented by an ordinary
-Preference whose ranking lists the order best first.
+Preference whose ranking lists the order best first. Every single-crossing
+question reads one agreement table of member bitmasks and decides its answer
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 from .core import (
@@ -31,10 +34,12 @@ from .stochastic import (
 class SingleCrossingResult:
     """Outcome of a single-crossing check.
 
-    enumeration is set on success. On failure, conflict describes either the
-    two alternative pairs whose agreement sets cross (existence mode) or the
-    pair on which a supplied enumeration switches back (verification mode),
-    with two preferences witnessing the problem.
+    enumeration is set on success: the members sorted by how many pairs they
+    rank the way the order does, or the supplied enumeration. On failure,
+    conflict describes either the two alternative pairs whose agreement sets
+    cross (existence mode) or the first pair, in the order's pair order, on
+    which a supplied enumeration switches back (verification mode), with two
+    preferences witnessing the problem.
     """
 
     holds: bool
@@ -47,50 +52,61 @@ class SingleCrossingResult:
 
 
 def _ordered_pairs(order: Preference) -> list[tuple[int, int]]:
-    ranking = order.ranking
-    return [
-        (ranking[i], ranking[j])
-        for i in range(len(ranking))
-        for j in range(i + 1, len(ranking))
-    ]
+    return list(combinations(order.ranking, 2))
 
 
-def _verify_enumeration(
-    enumeration: tuple[Preference, ...], order: Preference
-) -> SingleCrossingResult:
-    # each member's weak lower contour set of every x, read once
-    lower = [dict(pref.contour_keys()) for pref in enumeration]
-    for x, y in _ordered_pairs(order):
-        agreed_at = None
-        for pos, pref in enumerate(enumeration):
-            if lower[pos][x] >> y & 1:
-                if agreed_at is None:
-                    agreed_at = pos
-            elif agreed_at is not None:
-                u = order.universe
-                return SingleCrossingResult(
-                    False,
-                    conflict=(
-                        f"{u.labels[x]} over {u.labels[y]} holds at position "
-                        f"{agreed_at + 1} but not at {pos + 1}"
-                    ),
-                    conflict_prefs=(enumeration[agreed_at], pref),
-                )
-        # once x beats y it must keep beating y; suffix property checked above
-    return SingleCrossingResult(True, enumeration=enumeration)
-
-
-def _agreement(model: Model) -> list[list[int]]:
-    """agree[x][y] has bit i set when model.preferences[i] ranks x over y; the
-    members are in ranking order, so the lowest set bit is the first such member."""
-    n = model.universe.n
+def _agreement(prefs: tuple[Preference, ...]) -> list[list[int]]:
+    """agree[x][y] has bit i set when prefs[i] ranks x over y; for a model's
+    members, in ranking order, the lowest set bit is the first such member."""
+    n = prefs[0].universe.n
     agree = [[0] * n for _ in range(n)]
-    for i, pref in enumerate(model.preferences):
+    for i, pref in enumerate(prefs):
         ranking = pref.ranking
         for a, x in enumerate(ranking):
             for y in ranking[a + 1 :]:
                 agree[x][y] |= 1 << i
     return agree
+
+
+def _verify_enumeration(
+    enumeration: tuple[Preference, ...], order: Preference
+) -> SingleCrossingResult:
+    """Once a member ranks x over y, for x above y in the order, every later
+    member must too: each pair's bits in the enumeration's own agreement
+    table run from the first member that agrees through the last."""
+    agree = _agreement(enumeration)
+    everyone = (1 << len(enumeration)) - 1
+    for x, y in _ordered_pairs(order):
+        agreed = agree[x][y]
+        first = agreed & -agreed
+        # the members from the first agreeing one on that rank y over x
+        holes = everyone & -first & ~agreed
+        if holes:
+            u = order.universe
+            at, back = first.bit_length(), (holes & -holes).bit_length()
+            return SingleCrossingResult(
+                False,
+                conflict=(
+                    f"{u.labels[x]} over {u.labels[y]} holds at position "
+                    f"{at} but not at {back}"
+                ),
+                conflict_prefs=(enumeration[at - 1], enumeration[back - 1]),
+            )
+    return SingleCrossingResult(True, enumeration=enumeration)
+
+
+def _enumeration(model: Model, order: Preference) -> tuple[Preference, ...]:
+    """The members sorted by how many pairs they rank the way the order does.
+    Along a single-crossing enumeration each step switches at least one pair
+    into agreement and none back, so these counts strictly increase: for an
+    order that passes, this is the only enumeration."""
+    below = {x: lower ^ (1 << x) for x, lower in order.contour_keys()}
+
+    def count(p: Preference) -> int:
+        # for each x, p's lower contour set met with x's strict lower set in the order
+        return sum((lower & below[x]).bit_count() for x, lower in p.contour_keys())
+
+    return tuple(sorted(model.preferences, key=count))
 
 
 def check_single_crossing(
@@ -100,30 +116,23 @@ def check_single_crossing(
 ) -> SingleCrossingResult:
     """Does the model admit (or the given enumeration satisfy) single crossing?
 
-    With an enumeration, verify directly that agreement with the order is
-    monotone along it. Without one, decide existence: the agreement sets
-    S(x, y) = members ranking x over y (for x above y in the order) admit a
-    common suffix realization exactly when they are pairwise nested; if they
-    are, sort members by how many sets contain them and re-verify. The sets
-    are member bitmasks, built once per model.
+    With an enumeration, read once, verify it on its own agreement table.
+    Without one, decide existence: the agreement sets S(x, y) = members
+    ranking x over y (for x above y in the order) admit a common suffix
+    realization exactly when they are pairwise nested; if they are, the
+    enumeration is the members sorted by how many sets hold them, with no
+    second check. The sets are member bitmasks, built once per model.
     """
     require_same_universe(model, order)
     if enumeration is not None:
-        listed = sorted(enumeration, key=lambda p: p.ranking)
-        if listed != list(model.preferences):
+        enumeration = tuple(enumeration)
+        if not all(isinstance(p, Preference) for p in enumeration) or sorted(
+            enumeration, key=lambda p: p.ranking
+        ) != list(model.preferences):
             raise RumkitError("enumeration does not list the model exactly once")
-        return _verify_enumeration(tuple(enumeration), order)
+        return _verify_enumeration(enumeration, order)
 
-    return _nested_enumeration(model, order, _agreement(model))
-
-
-def _nested_enumeration(
-    model: Model, order: Preference, agree: list[list[int]]
-) -> SingleCrossingResult:
-    """Decide existence of an enumeration for the order on the model's
-    agreement table: the sets S(x, y), for x above y in the order, must be
-    pairwise nested; if they are, the members sorted by how many sets hold
-    them are re-verified as the enumeration."""
+    agree = _agreement(model.preferences)
     pairs = _ordered_pairs(order)
     sets = [agree[x][y] for x, y in pairs]
     prefs = model.preferences
@@ -141,18 +150,7 @@ def _nested_enumeration(
                     ),
                     conflict_prefs=tuple(witnesses),
                 )
-    # a member's count is the pairs it ranks as the order does: for each x,
-    # its lower contour set met with x's strict lower set in the order
-    below = {x: lower ^ (1 << x) for x, lower in order.contour_keys()}
-    counts = {
-        p: sum((lower & below[x]).bit_count() for x, lower in p.contour_keys())
-        for p in prefs
-    }
-    ordered = tuple(sorted(prefs, key=counts.__getitem__))
-    verified = _verify_enumeration(ordered, order)
-    if not verified:
-        raise RumkitError("nested agreement sets failed re-verification")
-    return verified
+    return SingleCrossingResult(True, enumeration=_enumeration(model, order))
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,9 @@ def scrum_order_exists(model: Model) -> OrderSearchResult:
     such e, the first order that keeps e's disputed pairs places, at each
     step, the smallest alternative that nothing left must come before. The
     answer is the smallest of these orders, and its position is its Lehmer
-    code plus one. A no answer builds no order. The agreement sets are
-    member bitmasks, built once per model.
+    code plus one. A no answer builds no order; a yes sorts the members once
+    for the enumeration. The agreement sets are member bitmasks, built once
+    per model.
     """
     universe = model.universe
     n = universe.n
@@ -197,7 +196,7 @@ def scrum_order_exists(model: Model) -> OrderSearchResult:
     # single-crossing model has at most C(n, 2) + 1 members
     if size > n * (n - 1) // 2 + 1:
         return OrderSearchResult(False, None, None, factorial(n))
-    agree = _agreement(model)
+    agree = _agreement(model.preferences)
     everyone = (1 << size) - 1
     sets = [agree[x][y] for x in range(n) for y in range(x + 1, n)]
     best = None
@@ -222,8 +221,7 @@ def scrum_order_exists(model: Model) -> OrderSearchResult:
         return OrderSearchResult(False, None, None, factorial(n))
     rank, ranking = best
     order = Preference(universe, tuple(ranking))
-    result = _nested_enumeration(model, order, agree)
-    return OrderSearchResult(True, order, result.enumeration, rank + 1)
+    return OrderSearchResult(True, order, _enumeration(model, order), rank + 1)
 
 
 def max_scrum_model(order: Preference) -> tuple[Model, tuple[Preference, ...]]:

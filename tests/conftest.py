@@ -27,7 +27,6 @@ from rumkit import (
     WitnessError,
     all_preferences,
     build_diagram,
-    check_single_crossing,
     directed_spanning_tree,
     double_cover_model,
     lattice,
@@ -367,11 +366,38 @@ def validate_witness_by_suffix(
     return True
 
 
+def verify_enumeration_by_scan(
+    enumeration: tuple[Preference, ...], order: Preference
+) -> SingleCrossingResult:
+    """Oracle for check_single_crossing with an enumeration: for each pair x
+    above y in the order, scan the members for the first that ranks x over y,
+    then for a later one that does not."""
+    ranking = order.ranking
+    for i, x in enumerate(ranking):
+        for y in ranking[i + 1 :]:
+            agreed_at = None
+            for pos, pref in enumerate(enumeration):
+                if pref.prefers(x, y):
+                    if agreed_at is None:
+                        agreed_at = pos
+                elif agreed_at is not None:
+                    u = order.universe
+                    return SingleCrossingResult(
+                        False,
+                        conflict=(
+                            f"{u.labels[x]} over {u.labels[y]} holds at position "
+                            f"{agreed_at + 1} but not at {pos + 1}"
+                        ),
+                        conflict_prefs=(enumeration[agreed_at], pref),
+                    )
+    return SingleCrossingResult(True, enumeration=tuple(enumeration))
+
+
 def single_crossing_by_sets(model: Model, order: Preference) -> SingleCrossingResult:
     """Oracle for check_single_crossing without an enumeration: frozensets of
     the members ranking x over y, for x above y in the order, compared pairwise
     for nesting; on success the members sorted by how many sets hold them are
-    verified as an enumeration."""
+    checked as an enumeration by verify_enumeration_by_scan."""
     ranking = order.ranking
     pairs = [(x, y) for i, x in enumerate(ranking) for y in ranking[i + 1 :]]
     sets = {(x, y): frozenset(p for p in model if p.prefers(x, y)) for x, y in pairs}
@@ -393,7 +419,7 @@ def single_crossing_by_sets(model: Model, order: Preference) -> SingleCrossingRe
                 )
     counts = {pref: sum(pref in s for s in sets.values()) for pref in model}
     ordered = tuple(sorted(model, key=lambda p: (counts[p], p.ranking)))
-    verified = check_single_crossing(model, order, ordered)
+    verified = verify_enumeration_by_scan(ordered, order)
     if not verified:
         raise AssertionError("nested agreement sets failed re-verification")
     return verified

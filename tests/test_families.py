@@ -16,6 +16,7 @@ from conftest import (
     scrum_order_exists_by_walk,
     single_crossing_by_sets,
     three_swaps,
+    verify_enumeration_by_scan,
 )
 from rumkit import (
     Model,
@@ -113,6 +114,30 @@ class TestCheckSingleCrossing:
         assert not check_single_crossing(m, order, (a, b))
         res = check_single_crossing(m, order)
         assert res and res.enumeration == (b, a)
+
+    def test_one_shot_enumeration_read_once(self):
+        u = Universe.of_size(3)
+        order = Preference(u, (0, 1, 2))
+        a = preference_from_labels(u, "abc")
+        b = preference_from_labels(u, "bac")
+        m = Model.of(u, [a, b])
+        res = check_single_crossing(m, order, iter((a, b)))
+        assert res == check_single_crossing(m, order, (a, b))
+        assert not res and res.conflict_prefs == (a, b)
+        res = check_single_crossing(m, order, iter((b, a)))
+        assert res and res.enumeration == (b, a)
+
+    def test_entries_that_are_not_preferences_refused(self):
+        u = Universe.of_size(3)
+        order = Preference(u, (0, 1, 2))
+        a = preference_from_labels(u, "abc")
+        b = preference_from_labels(u, "bac")
+        m = Model.of(u, [a, b])
+        for listing in ([1, 2], [a, [1, 2]], [a, "bac"], [a, None]):
+            with pytest.raises(
+                RumkitError, match="enumeration does not list the model exactly once"
+            ):
+                check_single_crossing(m, order, listing)
 
 
 class TestScrumOrderSearch:
@@ -289,6 +314,48 @@ class TestBitmaskAgainstOracles:
                 yes += 1
                 assert calls == [len(m)]
         assert yes > 10
+
+    def test_yes_answer_makes_no_second_check(self, monkeypatch, rng):
+        # a passing order has one enumeration, the members sorted by their
+        # agreement counts, so neither function verifies a yes again; the
+        # scan oracle checks the enumeration instead
+        def no_verify(*args):
+            raise AssertionError("a decided yes was verified again")
+
+        monkeypatch.setattr(families, "_verify_enumeration", no_verify)
+        yes = 0
+        for _ in range(60):
+            m = random_scrum_case(rng, rng.randrange(1, 7))
+            search = scrum_order_exists(m)
+            if search.exists:
+                yes += 1
+                res = check_single_crossing(m, search.order)
+                assert res and res.enumeration == search.enumeration
+                assert verify_enumeration_by_scan(res.enumeration, search.order)
+        assert yes > 10
+
+    def test_verify_matches_scan(self, rng):
+        # the enumeration found, it with two neighbours swapped, and a
+        # random listing of the members
+        holds = []
+        for k in range(600):
+            n = rng.randrange(1, 7)
+            m = random_scrum_case(rng, n)
+            order = Preference(m.universe, tuple(rng.sample(range(n), n)))
+            listing = check_single_crossing(m, order).enumeration
+            if listing is None or k % 3 == 2:
+                listing = tuple(rng.sample(m.preferences, len(m)))
+            elif k % 3 == 1 and len(m) > 1:
+                i = rng.randrange(len(m) - 1)
+                listing = listing[:i] + listing[i + 1 : i + 2] + listing[i : i + 1] + listing[i + 2 :]
+            res = check_single_crossing(m, order, listing)
+            scan = verify_enumeration_by_scan(listing, order)
+            assert (res.holds, res.conflict, res.conflict_prefs) == (
+                scan.holds, scan.conflict, scan.conflict_prefs
+            )
+            assert res == scan
+            holds.append(res.holds)
+        assert 100 < sum(holds) < len(holds) - 100
 
     def test_check_matches_frozen_sets(self, rng):
         holds = []
