@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
+from typing import Iterable
 
 from .core import (
     Model,
@@ -112,7 +113,7 @@ def _enumeration(model: Model, order: Preference) -> tuple[Preference, ...]:
 def check_single_crossing(
     model: Model,
     order: Preference,
-    enumeration: tuple[Preference, ...] | None = None,
+    enumeration: Iterable[Preference] | None = None,
 ) -> SingleCrossingResult:
     """Does the model admit (or the given enumeration satisfy) single crossing?
 
@@ -132,10 +133,10 @@ def check_single_crossing(
             raise RumkitError("enumeration does not list the model exactly once")
         return _verify_enumeration(enumeration, order)
 
-    agree = _agreement(model.preferences)
+    prefs = model.preferences
+    agree = _agreement(prefs)
     pairs = _ordered_pairs(order)
     sets = [agree[x][y] for x, y in pairs]
-    prefs = model.preferences
     for i, (a, sa) in enumerate(zip(pairs, sets)):
         for b, sb in zip(pairs[i + 1 :], sets[i + 1 :]):
             only_a, only_b = sa & ~sb, sb & ~sa

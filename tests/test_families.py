@@ -350,9 +350,6 @@ class TestBitmaskAgainstOracles:
                 listing = listing[:i] + listing[i + 1 : i + 2] + listing[i : i + 1] + listing[i + 2 :]
             res = check_single_crossing(m, order, listing)
             scan = verify_enumeration_by_scan(listing, order)
-            assert (res.holds, res.conflict, res.conflict_prefs) == (
-                scan.holds, scan.conflict, scan.conflict_prefs
-            )
             assert res == scan
             holds.append(res.holds)
         assert 100 < sum(holds) < len(holds) - 100
